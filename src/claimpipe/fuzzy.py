@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress
 
 
 @dataclass(frozen=True)
@@ -34,57 +35,79 @@ def preprocess(text: str) -> NormalizedText:
     return NormalizedText(original=text, normalized=" ".join(tokens), tokens=tokens)
 
 
+def _char_masks(text: str) -> dict[str, int]:
+    """Map each character to the bit set of its positions in ``text``."""
+    masks: dict[str, int] = {}
+    for position, ch in enumerate(text):
+        masks[ch] = masks.get(ch, 0) | 1 << position
+    return masks
+
+
+def _lcs_length(masks: dict[str, int], full: int, text: str) -> int:
+    """Bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004).
+
+    ``masks`` comes from :func:`_char_masks` of one string and ``full`` has
+    one bit per character of it; ``text`` is the other string. A zero bit of
+    ``v`` marks a row where the LCS grew, so the LCS length is the number of
+    zero bits left. Characters missing from ``masks`` leave ``v`` unchanged
+    and are skipped. Python ints make the words any width.
+    """
+    v = full
+    for mask in filter(None, map(masks.get, text)):
+        u = v & mask
+        v = ((v + u) | (v - u)) & full
+    return full.bit_count() - v.bit_count()
+
+
+def _ratio(dist: int, total: int) -> float:
+    if total == 0:
+        return 100.0
+    return 100.0 * (1.0 - dist / total)
+
+
 def indel_distance(a: str, b: str) -> int:
     """Minimum number of insertions plus deletions turning ``a`` into ``b``."""
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        append = cur.append
-        for j, cb in enumerate(b, start=1):
-            if ca == cb:
-                append(prev[j - 1])
-            else:
-                left = cur[j - 1]
-                up = prev[j]
-                append((left if left < up else up) + 1)
-        prev = cur
-    return prev[-1]
+    if len(a) > len(b):
+        a, b = b, a
+    lcs = _lcs_length(_char_masks(a), (1 << len(a)) - 1, b)
+    return len(a) + len(b) - 2 * lcs
 
 
 def simple_ratio(a: str, b: str) -> float:
     """Indel-normalized similarity; 100 iff the strings are identical."""
-    total = len(a) + len(b)
-    if total == 0:
-        return 100.0
-    return 100.0 * (1.0 - indel_distance(a, b) / total)
+    return _ratio(indel_distance(a, b), len(a) + len(b))
 
 
 def partial_ratio(needle: str, haystack: str) -> float:
     """Best :func:`simple_ratio` of the needle against any same-length window.
 
-    The shorter argument plays the needle. Scans every start offset, so a
-    needle occurring verbatim in the haystack always scores 100. Cost is
-    O(len(haystack) * len(needle)^2); needles here are short keywords.
+    The shorter argument plays the needle. Every start offset counts, so a
+    needle occurring verbatim in the haystack always scores 100. Two rules
+    skip windows without changing the score. A window whose first character
+    is not in the needle never beats the window one step later, so such
+    windows are skipped, except the last. And no window shares more
+    characters with the needle than the whole haystack does, so the scan
+    stops when a window reaches that count. Cost is at most
+    O(len(haystack) * len(needle)) steps on ints of len(needle) bits.
     """
     if len(needle) > len(haystack):
         needle, haystack = haystack, needle
-    if not needle:
+    if needle in haystack:
         return 100.0
     size = len(needle)
-    best = 0.0
-    for start in range(len(haystack) - size + 1):
-        score = simple_ratio(needle, haystack[start : start + size])
-        if score > best:
-            best = score
-            if best == 100.0:
-                break
-    return best
+    masks = _char_masks(needle)
+    bound = sum(min(needle.count(ch), haystack.count(ch)) for ch in masks)
+    full = (1 << size) - 1
+    last = len(haystack) - size
+    best = 0
+    starts = compress(range(last), map(masks.__contains__, haystack))
+    for start in chain(starts, (last,)):
+        if best == bound:
+            break
+        best = max(best, _lcs_length(masks, full, haystack[start : start + size]))
+    return _ratio(2 * (size - best), 2 * size)
 
 
 def token_set_ratio(a: str, b: str) -> float:
@@ -92,6 +115,8 @@ def token_set_ratio(a: str, b: str) -> float:
 
     Compares the sorted common tokens t0 with t0 plus each side's leftover
     tokens, and the two combined strings with each other; returns the max.
+    As t0 is a prefix of both combined strings, the first two distances are
+    length differences and the third is the distance between the suffixes.
     """
     tokens_a = set(a.split())
     tokens_b = set(b.split())
@@ -99,4 +124,9 @@ def token_set_ratio(a: str, b: str) -> float:
     t0 = " ".join(common)
     d1 = " ".join(common + sorted(tokens_a - tokens_b))
     d2 = " ".join(common + sorted(tokens_b - tokens_a))
-    return max(simple_ratio(t0, d1), simple_ratio(t0, d2), simple_ratio(d1, d2))
+    prefix = len(t0)
+    return max(
+        _ratio(len(d1) - prefix, prefix + len(d1)),
+        _ratio(len(d2) - prefix, prefix + len(d2)),
+        _ratio(indel_distance(d1[prefix:], d2[prefix:]), len(d1) + len(d2)),
+    )

@@ -16,7 +16,7 @@ from enum import Enum
 
 from . import fuzzy
 from .llm import BackendConfig, CompletionClient, prompt_sha256
-from .prompts import PromptLibrary, format_evidence_block
+from .prompts import MIN_SUMMARY_KEYWORDS, PromptLibrary, format_evidence_block
 
 SCHEMA_VERSION = 1
 
@@ -137,6 +137,17 @@ class PipelineConfig:
     abstraction_backend: BackendConfig | None = None
     verification_backend: BackendConfig | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("t1", "t2"):
+            # Written so that NaN fails too.
+            if not 0.0 <= getattr(self, name) <= 100.0:
+                raise ValueError(f"{name} must be within [0, 100]")
+        if self.min_keywords_for_summary < MIN_SUMMARY_KEYWORDS:
+            raise ValueError(
+                f"min_keywords must be at least {MIN_SUMMARY_KEYWORDS}: "
+                "evidence summarization needs that many keywords"
+            )
+
     def to_dict(self) -> dict:
         def backend_dict(backend: BackendConfig | None) -> dict | None:
             if backend is None:
@@ -232,7 +243,8 @@ def parse_keyword_list(completion: str) -> list[str]:
     """Split a comma-separated keyword completion into cleaned keywords.
 
     Splits on commas only, trims whitespace, removes one trailing period from
-    the final item, drops empties, and deduplicates case-insensitively while
+    the final item, drops items that normalize to nothing (such as ``"!!!"``,
+    which would match every piece), and deduplicates case-insensitively while
     keeping first occurrences in order.
     """
     items = [part.strip() for part in completion.split(",")]
@@ -241,7 +253,7 @@ def parse_keyword_list(completion: str) -> list[str]:
     seen: set[str] = set()
     out: list[str] = []
     for item in items:
-        if not item:
+        if not fuzzy.preprocess(item).normalized:
             continue
         key = item.lower()
         if key in seen:

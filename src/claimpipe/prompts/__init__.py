@@ -17,6 +17,9 @@ _SLOT_RE = re.compile(r"\{\{([a-z_]+)\}\}")
 
 _DEFAULT_DIR = Path(__file__).resolve().parent
 
+# The evidence-summarization prompt lists at least this many keywords.
+MIN_SUMMARY_KEYWORDS = 2
+
 
 class PromptError(ValueError):
     """Raised for unknown templates, missing slots, or invalid slot values."""
@@ -135,8 +138,10 @@ class PromptLibrary:
     ) -> str:
         if not evidence.strip():
             raise PromptError("evidence must be nonempty")
-        if len(keywords) < 2:
-            raise PromptError("evidence summarization needs at least two keywords")
+        if len(keywords) < MIN_SUMMARY_KEYWORDS:
+            raise PromptError(
+                f"evidence summarization needs at least {MIN_SUMMARY_KEYWORDS} keywords"
+            )
         return self.template(PromptTask.EVIDENCE_SUMMARIZATION).render(
             evidence=evidence, keywords=format_keyword_list(list(keywords))
         )

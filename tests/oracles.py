@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 These deliberately take different algorithmic routes than the production
-code: the edit distance here comes from a full longest-common-subsequence
-table rather than a rolling insert/delete recurrence, and the metric oracle
-counts a confusion matrix into a dict before computing anything.
+code, which computes edit distances with a bit-parallel LCS. There are two
+edit-distance oracles: a full longest-common-subsequence table, and a
+rolling one-row insert/delete recurrence. The fuzzy ratio oracles take
+either one. The metric oracle counts a confusion matrix into a dict before
+computing anything.
 """
 from __future__ import annotations
 
@@ -23,35 +25,61 @@ def indel_oracle(a: str, b: str) -> int:
     return len(a) + len(b) - 2 * lcs_len(a, b)
 
 
-def simple_ratio_oracle(a: str, b: str) -> float:
+def indel_rolling_oracle(a: str, b: str) -> int:
+    """Insert/delete DP keeping one row of the table at a time."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        append = cur.append
+        for j, cb in enumerate(b, start=1):
+            if ca == cb:
+                append(prev[j - 1])
+            else:
+                left = cur[j - 1]
+                up = prev[j]
+                append((left if left < up else up) + 1)
+        prev = cur
+    return prev[-1]
+
+
+INDEL_ORACLES = (indel_oracle, indel_rolling_oracle)
+
+
+def simple_ratio_oracle(a: str, b: str, indel=indel_oracle) -> float:
     total = len(a) + len(b)
     if total == 0:
         return 100.0
-    return 100.0 * (1.0 - indel_oracle(a, b) / total)
+    return 100.0 * (1.0 - indel(a, b) / total)
 
 
-def partial_ratio_oracle(needle: str, haystack: str) -> float:
+def partial_ratio_oracle(needle: str, haystack: str, indel=indel_oracle) -> float:
     if len(needle) > len(haystack):
         needle, haystack = haystack, needle
     if not needle:
         return 100.0
     size = len(needle)
     return max(
-        simple_ratio_oracle(needle, haystack[start : start + size])
+        simple_ratio_oracle(needle, haystack[start : start + size], indel)
         for start in range(len(haystack) - size + 1)
     )
 
 
-def token_set_ratio_oracle(a: str, b: str) -> float:
+def token_set_ratio_oracle(a: str, b: str, indel=indel_oracle) -> float:
     tokens_a, tokens_b = set(a.split()), set(b.split())
     common = sorted(tokens_a & tokens_b)
     t0 = " ".join(common)
     d1 = " ".join(common + sorted(tokens_a - tokens_b))
     d2 = " ".join(common + sorted(tokens_b - tokens_a))
     return max(
-        simple_ratio_oracle(t0, d1),
-        simple_ratio_oracle(t0, d2),
-        simple_ratio_oracle(d1, d2),
+        simple_ratio_oracle(t0, d1, indel),
+        simple_ratio_oracle(t0, d2, indel),
+        simple_ratio_oracle(d1, d2, indel),
     )
 
 

@@ -541,6 +541,38 @@ class TestCacheCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--t1", "-0.5"),
+            ("--t1", "100.5"),
+            ("--t1", "nan"),
+            ("--t2", "-1"),
+            ("--t2", "101"),
+            ("--t2", "nan"),
+            ("--min-keywords", "1"),
+            ("--min-keywords", "0"),
+        ],
+    )
+    def test_bad_selection_settings_are_config_errors(
+        self, six_bundle, tmp_path, capsys, flag, value
+    ):
+        evidence = spam_evidence_file(tmp_path)
+        code = main(
+            [
+                "verify",
+                "--claim", CLAIMS[0]["claim"],
+                "--evidence", str(evidence),
+                flag, value,
+                *scripted_args(six_bundle.script_path, tmp_path / "cache"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert flag.lstrip("-").replace("-", "_") in err
+        assert not (tmp_path / "cache").exists()
+
     def test_keyboard_interrupt_maps_to_130(self, monkeypatch, capsys):
         def raise_interrupt(args):
             raise KeyboardInterrupt()

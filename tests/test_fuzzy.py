@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -18,6 +18,15 @@ TEXT = st.text(alphabet="abcde 01é中", max_size=24)
 WORDS = st.lists(
     st.text(alphabet="abcdef", min_size=1, max_size=6), min_size=0, max_size=8
 )
+NON_ASCII = st.text(alphabet="aéßΩ中日😀İ\u0307 ", max_size=24)
+# Over 64 characters, so the bit masks span more than one machine word.
+LONG_NEEDLE = st.text(alphabet="ab c", min_size=65, max_size=80)
+
+
+def token_list(alphabet):
+    return st.lists(
+        st.text(alphabet=alphabet, min_size=1, max_size=5), max_size=6
+    )
 
 
 class TestFrozenValues:
@@ -199,3 +208,54 @@ class TestOracleEquivalence:
     @given(TEXT, TEXT)
     def test_token_set_matches_oracle(self, a, b):
         assert token_set_ratio(a, b) == oracles.token_set_ratio_oracle(a, b)
+
+
+class TestAgainstBothOracles:
+    """The bit-parallel core against the LCS table and the rolling DP."""
+
+    @staticmethod
+    def check_all(a, b):
+        for indel in oracles.INDEL_ORACLES:
+            assert indel_distance(a, b) == indel(a, b)
+            assert simple_ratio(a, b) == oracles.simple_ratio_oracle(a, b, indel)
+            assert partial_ratio(a, b) == oracles.partial_ratio_oracle(a, b, indel)
+
+    @given(NON_ASCII, NON_ASCII)
+    def test_non_ascii(self, a, b):
+        self.check_all(a, b)
+        wa, wb = " ".join(a.split()), " ".join(b.split())
+        for indel in oracles.INDEL_ORACLES:
+            assert token_set_ratio(wa, wb) == oracles.token_set_ratio_oracle(
+                wa, wb, indel
+            )
+
+    @given(NON_ASCII)
+    def test_empty_side(self, text):
+        self.check_all("", text)
+        self.check_all(text, "")
+
+    @given(TEXT, TEXT)
+    def test_needle_longer_than_haystack(self, a, b):
+        assume(len(a) > len(b))
+        for indel in oracles.INDEL_ORACLES:
+            assert partial_ratio(a, b) == oracles.partial_ratio_oracle(a, b, indel)
+
+    @settings(max_examples=25, deadline=None)
+    @given(LONG_NEEDLE, st.text(alphabet="abc d", max_size=20), st.data())
+    def test_needle_wider_than_a_word(self, needle, extra, data):
+        # A shuffled copy plus extra characters: at least as long, and similar.
+        haystack = "".join(data.draw(st.permutations(needle))) + extra
+        self.check_all(needle, haystack)
+
+    @pytest.mark.parametrize("empty", ["common", "only_a", "only_b"])
+    @given(token_list("abc"), token_list("def"), token_list("ghi"))
+    def test_token_set_with_empty_part(self, empty, common, only_a, only_b):
+        # Disjoint alphabets keep the three token groups disjoint.
+        parts = {"common": common, "only_a": only_a, "only_b": only_b}
+        parts[empty] = []
+        a = " ".join(parts["common"] + parts["only_a"])
+        b = " ".join(parts["only_b"] + parts["common"])
+        for indel in oracles.INDEL_ORACLES:
+            assert token_set_ratio(a, b) == oracles.token_set_ratio_oracle(
+                a, b, indel
+            )

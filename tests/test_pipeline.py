@@ -62,6 +62,12 @@ class TestParseKeywordList:
     def test_whitespace_trimmed_and_empties_dropped(self):
         assert parse_keyword_list(" foo ,  bar baz ,, qux.") == ["foo", "bar baz", "qux"]
 
+    def test_items_without_alphanumerics_dropped(self):
+        # They normalize to "", which partial-matches every piece at 100.
+        assert parse_keyword_list("—, spam, !!!, ...") == ["spam"]
+        with pytest.raises(PipelineError, match="no keywords"):
+            parse_keyword_list("—, !!!")
+
     def test_empty_completion_rejected(self):
         with pytest.raises(PipelineError):
             parse_keyword_list("")
