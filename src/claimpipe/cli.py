@@ -18,20 +18,14 @@ from pathlib import Path
 
 from .data import DataError, load_feverous, load_generic, load_hover
 from .evaluation import comparison_table, run_ablation_matrix, run_eval
-from .llm import (
-    BackendConfig,
-    BackendError,
-    BackendKind,
-    CompletionClient,
-    ResponseCache,
-)
+from .llm import BackendConfig, BackendError, BackendKind, ResponseCache
 from .pipeline import (
     Ablation,
     ClaimInstance,
-    ClaimVerifier,
     EvidencePiece,
     PipelineConfig,
     PipelineError,
+    open_verifier,
 )
 from .prompts import PromptError, PromptLibrary
 
@@ -329,14 +323,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     evidence = _read_evidence_file(options["evidence"])
     config = _build_pipeline_config(options, Ablation.NONE)
     prompts = _load_prompts(options)
-    cache = _make_cache(options)
-    abstraction_client = CompletionClient(config.abstraction_backend, cache=cache)
-    verification_client = CompletionClient(config.verification_backend, cache=cache)
-    verifier = ClaimVerifier(config, prompts, abstraction_client, verification_client)
     instance = ClaimInstance(
         id="cli", claim=options["claim"], evidence=tuple(evidence)
     )
-    report = verifier.verify_claim(instance)
+    with open_verifier(config, prompts, cache=_make_cache(options)) as verifier:
+        report = verifier.verify_claim(instance)
     payload = {"config": config.to_dict(), "report": report.to_dict()}
     print(json.dumps(payload, ensure_ascii=False, indent=2))
     if options["out"]:

@@ -132,6 +132,7 @@ def load_hover(
     if not isinstance(data, list):
         raise DataError(f"{path}: expected a JSON array of records")
     instances = []
+    seen_ids: dict[str, int] = {}
     for position, record in enumerate(data):
         where = f"{path}[{position}]"
         if not isinstance(record, dict):
@@ -139,6 +140,13 @@ def load_hover(
         uid = record.get("uid", record.get("id"))
         if uid is None:
             raise DataError(f"{where}: missing record id ('uid' or 'id')")
+        uid = str(uid)
+        if uid in seen_ids:
+            raise DataError(
+                f"{where}: duplicate id {uid!r} "
+                f"(first seen at {path}[{seen_ids[uid]}])"
+            )
+        seen_ids[uid] = position
         num_hops = record.get("num_hops")
         if hops is not None and num_hops != hops:
             continue
@@ -153,7 +161,7 @@ def load_hover(
         instances.append(
             _check_instance(
                 ClaimInstance(
-                    id=str(uid),
+                    id=uid,
                     claim=str(claim),
                     evidence=_group_by_title(entries),
                     gold_label=HOVER_LABELS.apply(label),
@@ -194,6 +202,7 @@ def load_feverous(path: str | Path) -> list[ClaimInstance]:
         raise DataError(f"cannot read {path}: {exc}") from exc
     instances = []
     skipped_structured = 0
+    seen_ids: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -210,6 +219,12 @@ def load_feverous(path: str | Path) -> list[ClaimInstance]:
         uid = record.get("id", record.get("uid"))
         if uid is None:
             raise DataError(f"{where}: missing record id")
+        uid = str(uid)
+        if uid in seen_ids:
+            raise DataError(
+                f"{where}: duplicate id {uid!r} (first seen at line {seen_ids[uid]})"
+            )
+        seen_ids[uid] = lineno
         claim = _require(record, "claim", where)
         label = _require(record, "label", where)
         raw_evidence = _require(record, "evidence", where)
@@ -229,7 +244,7 @@ def load_feverous(path: str | Path) -> list[ClaimInstance]:
         instances.append(
             _check_instance(
                 ClaimInstance(
-                    id=str(uid),
+                    id=uid,
                     claim=str(claim),
                     evidence=_group_by_title(entries),
                     gold_label=FEVEROUS_LABELS.apply(label),

@@ -7,15 +7,17 @@ written as claims finish, so an interrupted run keeps what it has done.
 """
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import logging
 import re
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .llm import CompletionClient, ResponseCache
+from .llm import ResponseCache
 from .pipeline import (
     Ablation,
     ClaimInstance,
@@ -24,6 +26,7 @@ from .pipeline import (
     PipelineError,
     Verdict,
     VerificationReport,
+    open_verifier,
 )
 from .prompts import PromptLibrary
 
@@ -85,6 +88,10 @@ def class_metrics(counts: ConfusionCounts) -> dict[str, ClassMetrics]:
     }
 
 
+def _macro_f1_of(metrics: dict[str, ClassMetrics]) -> float:
+    return 100.0 * (metrics["true"].f1 + metrics["false"].f1) / 2.0
+
+
 def macro_f1(predictions: list[Verdict], golds: list[Verdict]) -> float:
     """Mean of the True-class and False-class F1 scores, scaled to [0, 100].
 
@@ -92,8 +99,7 @@ def macro_f1(predictions: list[Verdict], golds: list[Verdict]) -> float:
     """
     if not predictions or len(predictions) != len(golds):
         raise ValueError("need equal-length, nonempty prediction and gold lists")
-    metrics = class_metrics(confusion(predictions, golds))
-    return 100.0 * (metrics["true"].f1 + metrics["false"].f1) / 2.0
+    return _macro_f1_of(class_metrics(confusion(predictions, golds)))
 
 
 @dataclass
@@ -193,7 +199,13 @@ _UNSAFE_ID_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
 def _trace_path(out_dir: Path, claim_id: str) -> Path:
+    """The id itself when it is a safe file name; otherwise the sanitized id
+    plus ``~`` and 8 hex digits of its SHA-256, so that ids sanitizing alike
+    (``a/b``, ``a b``) get distinct files. Safe ids never contain ``~``."""
     safe = _UNSAFE_ID_RE.sub("_", claim_id) or "claim"
+    if safe != claim_id:
+        digest = hashlib.sha256(claim_id.encode("utf-8")).hexdigest()
+        safe = f"{safe}~{digest[:8]}"
     return out_dir / f"{safe}.json"
 
 
@@ -231,8 +243,9 @@ def run_eval(
 ) -> EvalReport:
     """Verify every instance and score predictions against gold labels.
 
-    Claims are dispatched to a bounded thread pool; report rows keep the
-    input order regardless of completion order.
+    Claims are dispatched to a pool of ``workers`` threads; report rows keep
+    the input order regardless of completion order. On HTTP backends the
+    calls inside each claim also run concurrently (see ``open_verifier``).
     """
     if not instances:
         raise ValueError("no instances to evaluate")
@@ -241,21 +254,16 @@ def run_eval(
             raise ValueError(f"instance {instance.id} has no gold label")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if config.abstraction_backend is None or config.verification_backend is None:
-        raise ValueError("config must carry both backends")
 
-    abstraction_client = CompletionClient(config.abstraction_backend, cache=cache)
-    verification_client = CompletionClient(config.verification_backend, cache=cache)
-    verifier = ClaimVerifier(config, prompts, abstraction_client, verification_client)
-
-    out_dir: Path | None = None
-    if trace_dir is not None:
-        out_dir = Path(trace_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    started = time.monotonic()
     rows: list[ClaimRow | None] = [None] * len(instances)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with open_verifier(
+        config, prompts, cache=cache, workers=workers
+    ) as verifier, ThreadPoolExecutor(max_workers=workers) as pool:
+        out_dir: Path | None = None
+        if trace_dir is not None:
+            out_dir = Path(trace_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+        started = time.monotonic()
         pending = {
             pool.submit(_evaluate_one, verifier, instance): position
             for position, instance in enumerate(instances)
@@ -273,7 +281,8 @@ def run_eval(
                         json.dumps(report.to_dict(), ensure_ascii=False, indent=2),
                         encoding="utf-8",
                     )
-    elapsed = time.monotonic() - started
+        elapsed = time.monotonic() - started
+    clients = (verifier.abstraction_client, verifier.verification_client)
 
     final_rows = [row for row in rows if row is not None]
     counts = confusion(
@@ -282,17 +291,14 @@ def run_eval(
     counts.error_count = sum(1 for row in final_rows if row.error)
     counts.abstain_count = sum(row.abstained_subclaims for row in final_rows)
     metrics = class_metrics(counts)
-    score = 100.0 * (metrics["true"].f1 + metrics["false"].f1) / 2.0
     return EvalReport(
         config=config.to_dict(),
         metrics=metrics,
-        macro_f1=score,
+        macro_f1=_macro_f1_of(metrics),
         counts=counts,
         rows=final_rows,
-        prompt_tokens=abstraction_client.prompt_tokens_total
-        + verification_client.prompt_tokens_total,
-        completion_tokens=abstraction_client.completion_tokens_total
-        + verification_client.completion_tokens_total,
+        prompt_tokens=sum(client.prompt_tokens_total for client in clients),
+        completion_tokens=sum(client.completion_tokens_total for client in clients),
         wall_clock_seconds=elapsed,
         variant=config.ablation,
     )
@@ -315,16 +321,7 @@ def run_ablation_matrix(
         raise ValueError("duplicate variants requested")
     reports = []
     for variant in variants:
-        config = PipelineConfig(
-            t1=base_config.t1,
-            t2=base_config.t2,
-            min_keywords_for_summary=base_config.min_keywords_for_summary,
-            with_claim_context=base_config.with_claim_context,
-            ablation=variant,
-            short_circuit=base_config.short_circuit,
-            abstraction_backend=base_config.abstraction_backend,
-            verification_backend=base_config.verification_backend,
-        )
+        config = dataclasses.replace(base_config, ablation=variant)
         trace_dir = None
         if out_dir is not None:
             trace_dir = Path(out_dir) / variant.value / "traces"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import re
 import tempfile
 import threading
@@ -23,6 +24,8 @@ import requests
 DEFAULT_TEMPERATURE = 0.05
 DEFAULT_MAX_TOKENS = 512
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+# Statuses whose Retry-After header is honoured.
+RETRY_AFTER_STATUSES = frozenset({429, 503})
 
 
 class BackendError(Exception):
@@ -96,6 +99,25 @@ class CompletionResponse:
     prompt_tokens: int = 0
     completion_tokens: int = 0
     cached: bool = False
+
+
+def retry_delay(
+    retry: int,
+    backoff_base: float,
+    jitter: float,
+    retry_after: str | None = None,
+    cap: float = float("inf"),
+) -> float:
+    """Seconds to wait before retry number ``retry`` (1-based).
+
+    An integer ``retry_after`` (the header's delay-seconds form) wins, capped
+    at ``cap``. Otherwise the exponential backoff ``backoff_base * 2**(retry-1)``
+    scaled into [1/2, 1] by ``jitter`` in [0, 1], so that callers retrying
+    together spread out.
+    """
+    if retry_after is not None and re.fullmatch(r"\s*[0-9]+\s*", retry_after):
+        return min(float(retry_after), cap)
+    return backoff_base * 2 ** (retry - 1) * (1.0 - jitter / 2.0)
 
 
 def prompt_sha256(prompt: str) -> str:
@@ -278,9 +300,19 @@ class CompletionClient:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         last_error = "no attempt made"
+        retry_after = None
         for attempt in range(self.backend.max_retries + 1):
             if attempt:
-                time.sleep(self.backend.backoff_base * 2 ** (attempt - 1))
+                time.sleep(
+                    retry_delay(
+                        attempt,
+                        self.backend.backoff_base,
+                        random.random(),
+                        retry_after,
+                        cap=self.backend.request_timeout,
+                    )
+                )
+                retry_after = None
             try:
                 resp = requests.post(
                     self.backend.endpoint_url,
@@ -293,6 +325,8 @@ class CompletionClient:
                 continue
             if resp.status_code in RETRYABLE_STATUSES:
                 last_error = f"HTTP {resp.status_code}"
+                if resp.status_code in RETRY_AFTER_STATUSES:
+                    retry_after = resp.headers.get("Retry-After")
                 continue
             if resp.status_code != 200:
                 raise TransportError(

@@ -5,20 +5,38 @@ by fuzzy matching, summarize each evidence piece under its keywords,
 deconstruct the claim into subclaims, and verify each subclaim against the
 abstracted plus raw evidence. A claim is False iff any subclaim is False.
 
-Each stage that calls the model appends a TraceEntry, so a finished report
-carries the full prompt/response history in order.
+Each stage that calls the model records a TraceEntry, so a finished report
+carries the full prompt/response history in canonical order: extraction,
+summaries by piece, deconstruction, verifications by subclaim index. On HTTP
+backends the calls that do not depend on each other run concurrently; the
+trace order does not change.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from enum import Enum
+from pathlib import PurePath
+from typing import Callable, Iterator
 
 from . import fuzzy
-from .llm import BackendConfig, CompletionClient, prompt_sha256
+from .llm import (
+    BackendConfig,
+    BackendKind,
+    CompletionClient,
+    ResponseCache,
+    prompt_sha256,
+)
 from .prompts import MIN_SUMMARY_KEYWORDS, PromptLibrary, format_evidence_block
 
 SCHEMA_VERSION = 1
+
+# Threads for the calls inside claims, per claim thread. Each claim thread
+# also makes calls itself, so at most (1 + CALL_THREADS_PER_WORKER) x workers
+# requests are in flight.
+CALL_THREADS_PER_WORKER = 4
 
 
 class Verdict(Enum):
@@ -149,31 +167,44 @@ class PipelineConfig:
             )
 
     def to_dict(self) -> dict:
-        def backend_dict(backend: BackendConfig | None) -> dict | None:
-            if backend is None:
-                return None
-            return {
-                "kind": backend.kind.value,
-                "endpoint_url": backend.endpoint_url,
-                "api_key_env": backend.api_key_env,
-                "script_path": str(backend.script_path) if backend.script_path else None,
-                "model_id": backend.model_id,
-                "temperature": backend.temperature,
-                "max_tokens": backend.max_tokens,
-                "request_timeout": backend.request_timeout,
-                "max_retries": backend.max_retries,
-            }
+        """Every field, backends included, in declaration order."""
 
-        return {
-            "t1": self.t1,
-            "t2": self.t2,
-            "min_keywords_for_summary": self.min_keywords_for_summary,
-            "with_claim_context": self.with_claim_context,
-            "ablation": self.ablation.value,
-            "short_circuit": self.short_circuit,
-            "abstraction_backend": backend_dict(self.abstraction_backend),
-            "verification_backend": backend_dict(self.verification_backend),
-        }
+        def plain(value: object) -> object:
+            if isinstance(value, Enum):
+                return value.value
+            if isinstance(value, PurePath):
+                return str(value)
+            return value
+
+        return asdict(
+            self, dict_factory=lambda items: {name: plain(v) for name, v in items}
+        )
+
+
+@dataclass(frozen=True)
+class StagePlan:
+    """What one pipeline variant runs.
+
+    ``abstraction`` is ``"keyword"`` (extract keywords, select them per piece
+    and summarize each piece under its keywords), ``"claim"`` (summarize each
+    piece under the claim) or None (no abstraction). ``select`` applies the
+    t1/t2 thresholds; without it every keyword reaches every piece.
+    """
+
+    abstraction: str | None
+    select: bool = True
+    deconstruct: bool = True
+    raw_evidence: bool = True
+
+
+PLANS: dict[Ablation, StagePlan] = {
+    Ablation.NONE: StagePlan("keyword"),
+    Ablation.NO_CLAIM_DECONSTRUCTION: StagePlan("keyword", deconstruct=False),
+    Ablation.NO_EVIDENCE_ABSTRACTION: StagePlan(None),
+    Ablation.NO_KEYWORD_GUIDANCE: StagePlan("claim"),
+    Ablation.NO_KEYWORD_SELECTION: StagePlan("keyword", select=False),
+    Ablation.NO_RAW_EVIDENCE: StagePlan("keyword", raw_evidence=False),
+}
 
 
 @dataclass
@@ -361,12 +392,43 @@ def aggregate(results: list[SubclaimResult] | tuple[SubclaimResult, ...]) -> Ver
     return Verdict.TRUE
 
 
+# A stage name and a function that runs one stage method and returns its
+# result with the trace entries it recorded.
+Task = tuple[str, Callable[[], tuple[object, list[TraceEntry]]]]
+
+
+def _task(stage: str, method: Callable, *args: object) -> Task:
+    """Wrap a stage-method call so it records its trace entries apart;
+    tasks can then finish in any order and the trace is assembled after."""
+
+    def run() -> tuple[object, list[TraceEntry]]:
+        entries: list[TraceEntry] = []
+        return method(*args, entries), entries
+
+    return stage, run
+
+
+def _record(
+    outcome: Callable[[], tuple[object, list[TraceEntry]]], trace: list[TraceEntry]
+) -> object:
+    """Run or collect one task's outcome; add its entries to ``trace``."""
+    value, entries = outcome()
+    trace.extend(entries)
+    return value
+
+
 class ClaimVerifier:
     """Runs the pipeline for one configuration.
 
     Keyword extraction and evidence summarization go to the abstraction
     client; deconstruction and subclaim verification go to the verification
     client. Stateless between claims, so one instance serves many threads.
+
+    A claim runs in three phases: keyword extraction and selection; the
+    summaries alongside the deconstruction; the subclaim verifications. With
+    an ``executor``, the calls within a phase run on it concurrently (the
+    verifications stay one at a time under ``short_circuit``). Without one,
+    every call runs in order on the calling thread.
     """
 
     def __init__(
@@ -375,33 +437,25 @@ class ClaimVerifier:
         prompts: PromptLibrary,
         abstraction_client: CompletionClient,
         verification_client: CompletionClient,
+        executor: ThreadPoolExecutor | None = None,
     ):
         self.config = config
         self.prompts = prompts
         self.abstraction_client = abstraction_client
         self.verification_client = verification_client
+        self.executor = executor
 
-    def _call(
-        self,
-        client: CompletionClient,
-        stage: str,
-        prompt: str,
-        trace: list[TraceEntry],
-    ) -> str:
+    def _call(self, client: CompletionClient, stage: str, prompt: str) -> TraceEntry:
         response = client.complete_prompt(prompt)
-        trace.append(
-            TraceEntry(
-                stage=stage,
-                prompt_sha256=prompt_sha256(prompt),
-                response=response.text,
-            )
+        return TraceEntry(
+            stage=stage, prompt_sha256=prompt_sha256(prompt), response=response.text
         )
-        return response.text
 
     def extract_keywords(self, claim: str, trace: list[TraceEntry]) -> list[str]:
         prompt = self.prompts.render_keyword_extraction(claim)
-        text = self._call(self.abstraction_client, "keyword_extraction", prompt, trace)
-        return parse_keyword_list(text)
+        entry = self._call(self.abstraction_client, "keyword_extraction", prompt)
+        trace.append(entry)
+        return parse_keyword_list(entry.response)
 
     def abstract_evidence(
         self,
@@ -418,12 +472,11 @@ class ClaimVerifier:
         if len(keywords) < self.config.min_keywords_for_summary:
             return None
         prompt = self.prompts.render_evidence_summarization(evidence.text, keywords)
-        text = self._call(
-            self.abstraction_client, "evidence_summarization", prompt, trace
-        )
+        entry = self._call(self.abstraction_client, "evidence_summarization", prompt)
+        trace.append(entry)
         return AbstractedEvidence(
             source_index=keyword_set.evidence_index,
-            text=text.strip(),
+            text=entry.response.strip(),
             keywords=keywords,
         )
 
@@ -435,19 +488,19 @@ class ClaimVerifier:
         trace: list[TraceEntry],
     ) -> AbstractedEvidence:
         prompt = self.prompts.render_claim_guided_summarization(evidence.text, claim)
-        text = self._call(
-            self.abstraction_client, "claim_guided_summarization", prompt, trace
+        entry = self._call(
+            self.abstraction_client, "claim_guided_summarization", prompt
         )
+        trace.append(entry)
         return AbstractedEvidence(
-            source_index=source_index, text=text.strip(), keywords=()
+            source_index=source_index, text=entry.response.strip(), keywords=()
         )
 
     def deconstruct_claim(self, claim: str, trace: list[TraceEntry]) -> list[Subclaim]:
         prompt = self.prompts.render_claim_deconstruction(claim)
-        text = self._call(
-            self.verification_client, "claim_deconstruction", prompt, trace
-        )
-        return parse_subclaims(text)
+        entry = self._call(self.verification_client, "claim_deconstruction", prompt)
+        trace.append(entry)
+        return parse_subclaims(entry.response)
 
     def verify_subclaim(
         self,
@@ -466,81 +519,116 @@ class ClaimVerifier:
             claim=claim,
             with_context=self.config.with_claim_context,
         )
-        text = self._call(
-            self.verification_client, "subclaim_verification", prompt, trace
-        )
-        verdict, abstained = parse_verdict_answer(text)
+        entry = self._call(self.verification_client, "subclaim_verification", prompt)
+        trace.append(entry)
+        verdict, abstained = parse_verdict_answer(entry.response)
         return SubclaimResult(
-            subclaim=subclaim, raw_answer=text, verdict=verdict, abstained=abstained
+            subclaim=subclaim,
+            raw_answer=entry.response,
+            verdict=verdict,
+            abstained=abstained,
         )
 
+    def _phase(self, tasks: list[Task], concurrent: bool = True) -> list[Task]:
+        """Pair each task's stage with a function that returns its outcome,
+        in task order.
+
+        Inline (no executor, ``concurrent`` off, or one task), a task runs
+        when its outcome is asked for, so the caller's first failure or early
+        stop skips the rest. Otherwise all tasks are submitted at once and
+        this returns only when every one has finished: no call outlives the
+        claim, and reading the outcomes in order raises the first failure in
+        task order, as the inline path does.
+        """
+        if self.executor is None or not concurrent or len(tasks) < 2:
+            return tasks
+        futures = [(stage, self.executor.submit(run)) for stage, run in tasks]
+        wait([future for _, future in futures])
+        return [(stage, future.result) for stage, future in futures]
+
     def verify_claim(self, instance: ClaimInstance) -> VerificationReport:
+        plan = PLANS[self.config.ablation]
+        claim = instance.claim
         stage = "input"
         trace: list[TraceEntry] = []
+        keywords: list[str] = []
+        keyword_sets: list[KeywordSet] = []
         try:
-            if not instance.claim.strip():
+            if not claim.strip():
                 raise PipelineError("claim text is empty")
             if not instance.evidence:
                 raise PipelineError("instance has no evidence")
 
-            ablation = self.config.ablation
-            keywords: list[str] = []
-            keyword_sets: list[KeywordSet] = []
-            abstracted: list[AbstractedEvidence] = []
-
-            if ablation is Ablation.NO_EVIDENCE_ABSTRACTION:
-                pass
-            elif ablation is Ablation.NO_KEYWORD_GUIDANCE:
-                stage = "claim_guided_summarization"
-                for index, piece in enumerate(instance.evidence):
-                    abstracted.append(
-                        self.summarize_with_claim(piece, instance.claim, index, trace)
-                    )
-            else:
+            tasks: list[Task] = []
+            if plan.abstraction == "keyword":
                 stage = "keyword_extraction"
-                keywords = self.extract_keywords(instance.claim, trace)
+                keywords = self.extract_keywords(claim, trace)
                 stage = "keyword_selection"
-                for index, piece in enumerate(instance.evidence):
-                    if ablation is Ablation.NO_KEYWORD_SELECTION:
-                        keyword_sets.append(
-                            KeywordSet(
-                                evidence_index=index,
-                                selected=tuple(score_keywords(keywords, piece.text)),
-                            )
-                        )
-                    else:
-                        keyword_sets.append(
-                            select_keywords(
-                                keywords,
-                                piece.text,
-                                t1=self.config.t1,
-                                t2=self.config.t2,
-                                evidence_index=index,
-                            )
-                        )
-                stage = "evidence_summarization"
-                for keyword_set in keyword_sets:
-                    piece = instance.evidence[keyword_set.evidence_index]
-                    summary = self.abstract_evidence(piece, keyword_set, trace)
-                    if summary is not None:
-                        abstracted.append(summary)
-
-            if ablation is Ablation.NO_CLAIM_DECONSTRUCTION:
-                subclaims = [Subclaim(index=1, text=instance.claim)]
-            else:
-                stage = "claim_deconstruction"
-                subclaims = self.deconstruct_claim(instance.claim, trace)
-
-            raw = [] if ablation is Ablation.NO_RAW_EVIDENCE else list(instance.evidence)
-
-            stage = "subclaim_verification"
-            results: list[SubclaimResult] = []
-            for subclaim in subclaims:
-                result = self.verify_subclaim(
-                    subclaim, abstracted, raw, instance.claim, trace
+                keyword_sets = [
+                    select_keywords(
+                        keywords,
+                        piece.text,
+                        t1=self.config.t1,
+                        t2=self.config.t2,
+                        evidence_index=index,
+                    )
+                    if plan.select
+                    else KeywordSet(
+                        evidence_index=index,
+                        selected=tuple(score_keywords(keywords, piece.text)),
+                    )
+                    for index, piece in enumerate(instance.evidence)
+                ]
+                tasks = [
+                    _task(
+                        "evidence_summarization",
+                        self.abstract_evidence,
+                        piece,
+                        keyword_set,
+                    )
+                    for piece, keyword_set in zip(instance.evidence, keyword_sets)
+                ]
+            elif plan.abstraction == "claim":
+                tasks = [
+                    _task(
+                        "claim_guided_summarization",
+                        self.summarize_with_claim,
+                        piece,
+                        claim,
+                        index,
+                    )
+                    for index, piece in enumerate(instance.evidence)
+                ]
+            if plan.deconstruct:
+                tasks.append(
+                    _task("claim_deconstruction", self.deconstruct_claim, claim)
                 )
+            outcomes = []
+            for stage, outcome in self._phase(tasks):
+                outcomes.append(_record(outcome, trace))
+            subclaims = (
+                outcomes.pop() if plan.deconstruct else [Subclaim(index=1, text=claim)]
+            )
+            abstracted = [summary for summary in outcomes if summary is not None]
+
+            raw = list(instance.evidence) if plan.raw_evidence else []
+            tasks = [
+                _task(
+                    "subclaim_verification",
+                    self.verify_subclaim,
+                    subclaim,
+                    abstracted,
+                    raw,
+                    claim,
+                )
+                for subclaim in subclaims
+            ]
+            results: list[SubclaimResult] = []
+            short_circuit = self.config.short_circuit
+            for stage, outcome in self._phase(tasks, concurrent=not short_circuit):
+                result = _record(outcome, trace)
                 results.append(result)
-                if self.config.short_circuit and result.verdict is Verdict.FALSE:
+                if short_circuit and result.verdict is Verdict.FALSE:
                     break
 
             stage = "aggregate"
@@ -564,3 +652,38 @@ class ClaimVerifier:
             final=final,
             trace=tuple(trace),
         )
+
+
+@contextmanager
+def open_verifier(
+    config: PipelineConfig,
+    prompts: PromptLibrary,
+    cache: ResponseCache | None = None,
+    workers: int = 1,
+) -> Iterator[ClaimVerifier]:
+    """Build both clients and the verifier for ``workers`` claim threads.
+
+    When either backend is HTTP, the verifier gets a pool of
+    CALL_THREADS_PER_WORKER x ``workers`` threads for the calls inside
+    claims, shut down on leaving the block. Scripted calls are microseconds
+    of work under the interpreter lock, where handing them to threads only
+    costs time, so they run inline.
+    """
+    backends = (config.abstraction_backend, config.verification_backend)
+    if None in backends:
+        raise ValueError("config must carry both backends")
+    abstraction_client = CompletionClient(config.abstraction_backend, cache=cache)
+    verification_client = CompletionClient(config.verification_backend, cache=cache)
+    executor = None
+    if any(backend.kind is BackendKind.HTTP_CHAT for backend in backends):
+        executor = ThreadPoolExecutor(
+            max_workers=CALL_THREADS_PER_WORKER * workers,
+            thread_name_prefix="claimpipe-call",
+        )
+    try:
+        yield ClaimVerifier(
+            config, prompts, abstraction_client, verification_client, executor
+        )
+    finally:
+        if executor is not None:
+            executor.shutdown()

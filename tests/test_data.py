@@ -63,6 +63,13 @@ class TestLoadHover:
         base.update(overrides)
         return base
 
+    def test_duplicate_ids_rejected_naming_both_records(self, tmp_path):
+        # Ids compare as strings: 7 and "7" name the same trace file.
+        records = [self.record(uid=7), self.record(uid="h2"), self.record(uid="7")]
+        path = write_json(tmp_path / "hover.json", records)
+        with pytest.raises(DataError, match=r"\[2\]: duplicate id '7'.*\[0\]"):
+            load_hover(path)
+
     def test_pair_shape(self, tmp_path):
         path = write_json(tmp_path / "hover.json", [self.record()])
         got = load_hover(path)
@@ -163,6 +170,13 @@ class TestLoadFeverous:
         }
         base.update(overrides)
         return base
+
+    def test_duplicate_ids_rejected_naming_both_lines(self, tmp_path):
+        path = write_jsonl(
+            tmp_path / "fev.jsonl", [self.record(), self.record(id=12), self.record()]
+        )
+        with pytest.raises(DataError, match=r":3: duplicate id '11'.*line 1"):
+            load_feverous(path)
 
     def test_basic_load(self, tmp_path):
         path = write_jsonl(tmp_path / "fev.jsonl", [self.record()])

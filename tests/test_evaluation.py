@@ -118,6 +118,32 @@ class TestRunEval:
         assert payload["schema_version"] == 1
         assert payload["final"] == "false"
 
+    def test_ids_that_sanitize_alike_keep_separate_traces(
+        self, tmp_path, prompt_library
+    ):
+        script = write_regex_script(tmp_path / "script.json")
+        config = scripted_config(script, with_claim_context=False)
+        ids = ["a_b", "a/b", "a b"]
+        instances = [
+            ClaimInstance(
+                id=claim_id,
+                claim="alpha beta gamma.",
+                evidence=(EvidencePiece(text="alpha beta delta."),),
+                gold_label=T,
+            )
+            for claim_id in ids
+        ]
+        trace_dir = tmp_path / "traces"
+        run_eval(instances, config, prompt_library, trace_dir=trace_dir)
+        written = {
+            json.loads(path.read_text())["claim_id"]: path.name
+            for path in trace_dir.glob("*.json")
+        }
+        assert sorted(written) == sorted(ids)
+        # A safe id keeps its plain name; the others get a hash suffix.
+        assert written["a_b"] == "a_b.json"
+        assert written["a/b"].startswith("a_b~") and written["a b"].startswith("a_b~")
+
     def test_report_embeds_config(self, six_bundle, prompt_library):
         instances = load_generic(six_bundle.dataset_path)
         config = scripted_config(

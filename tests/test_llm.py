@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -20,12 +21,14 @@ from claimpipe.llm import (
     TransportError,
     cache_key,
     prompt_sha256,
+    retry_delay,
     script_entry,
 )
 
 
 class ChatHandler(BaseHTTPRequestHandler):
-    """Serves canned chat responses; per-server script of (status, body)."""
+    """Serves canned chat responses; per-server script of (status, body) or
+    (status, body, headers)."""
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -33,11 +36,13 @@ class ChatHandler(BaseHTTPRequestHandler):
         self.server.requests_seen.append(
             {"body": body, "auth": self.headers.get("Authorization")}
         )
-        status, payload = self.server.responses[
+        status, payload, *headers = self.server.responses[
             min(len(self.server.requests_seen) - 1, len(self.server.responses) - 1)
         ]
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -352,3 +357,42 @@ class TestHttpClient:
         assert again.text == "cached answer"
         assert again.cached is True
         assert len(chat_server.requests_seen) == 1
+
+
+class TestRetryDelay:
+    @pytest.mark.parametrize("header, expected", [("1", 1.0), (" 7 ", 7.0), ("0", 0.0)])
+    def test_integer_retry_after_wins(self, header, expected):
+        assert retry_delay(3, 0.5, jitter=1.0, retry_after=header) == expected
+
+    def test_retry_after_capped(self):
+        assert retry_delay(1, 0.5, jitter=0.0, retry_after="120", cap=5.0) == 5.0
+
+    @pytest.mark.parametrize(
+        "header", [None, "", "-1", "1.5", "\u00b2", "Wed, 21 Oct 2015 07:28:00 GMT"]
+    )
+    def test_other_retry_after_forms_fall_back_to_backoff(self, header):
+        assert retry_delay(2, 0.5, jitter=0.0, retry_after=header) == 1.0
+
+    def test_jitter_spans_half_to_full_backoff(self):
+        # Retry 3 with base 0.5: the unjittered backoff is 0.5 * 2**2 = 2 s.
+        assert retry_delay(3, 0.5, jitter=0.0) == 2.0
+        assert retry_delay(3, 0.5, jitter=0.5) == 1.5
+        assert retry_delay(3, 0.5, jitter=1.0) == 1.0
+
+
+class TestRetryAfterOverHttp:
+    @pytest.mark.parametrize("status, honoured", [(429, True), (500, False)])
+    def test_retry_after_honoured_on_429_only_of_these(
+        self, chat_server, status, honoured
+    ):
+        chat_server.responses = [
+            (status, {"error": "slow down"}, {"Retry-After": "1"}),
+            (200, chat_payload("ok")),
+        ]
+        # backoff_base 0: any wait comes from the header.
+        client = CompletionClient(http_backend(chat_server))
+        started = time.monotonic()
+        assert client.complete_prompt("x").text == "ok"
+        waited = time.monotonic() - started
+        assert len(chat_server.requests_seen) == 2
+        assert (waited >= 1.0) is honoured
