@@ -16,23 +16,31 @@ import os
 import sys
 from pathlib import Path
 
-from .data import DataError, load_feverous, load_generic, load_hover
+from .data import (
+    DataError,
+    json_text,
+    load_feverous,
+    load_generic,
+    load_hover,
+    write_json,
+)
+# ``verify`` reads its evidence file with the loaders' own entry rules.
+from .data import load_evidence as _read_evidence_file
 from .evaluation import comparison_table, run_ablation_matrix, run_eval
 from .llm import BackendConfig, BackendError, BackendKind, ResponseCache
 from .pipeline import (
     Ablation,
     ClaimInstance,
-    EvidencePiece,
     PipelineConfig,
     PipelineError,
     open_verifier,
 )
-from .prompts import PromptError, PromptLibrary
+from .prompts import PromptLibrary
 
 log = logging.getLogger(__name__)
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
@@ -254,14 +262,6 @@ def _build_pipeline_config(options: dict, ablation: Ablation) -> PipelineConfig:
     )
 
 
-def _load_prompts(options: dict) -> PromptLibrary:
-    return PromptLibrary.load(options["prompts_dir"])
-
-
-def _make_cache(options: dict) -> ResponseCache:
-    return ResponseCache(options["cache_dir"])
-
-
 def _load_instances(options: dict) -> list[ClaimInstance]:
     if not options["data_path"]:
         raise ConfigError("--data-path is required")
@@ -273,47 +273,6 @@ def _load_instances(options: dict) -> list[ClaimInstance]:
     return load_generic(options["data_path"])
 
 
-def _read_evidence_file(path_text: str) -> list[EvidencePiece]:
-    path = Path(path_text)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read evidence file {path}: {exc}") from exc
-    stripped = raw.lstrip()
-    entries: list[object] = []
-    try:
-        if stripped.startswith("["):
-            entries = json.loads(raw)
-        else:
-            entries = [json.loads(line) for line in raw.splitlines() if line.strip()]
-    except ValueError as exc:
-        raise DataError(f"evidence file {path} is not valid JSON: {exc}") from exc
-    pieces = []
-    for entry in entries:
-        if isinstance(entry, str):
-            pieces.append(EvidencePiece(text=entry))
-        elif isinstance(entry, dict) and isinstance(entry.get("text"), str):
-            pieces.append(EvidencePiece(text=entry["text"], title=entry.get("title")))
-        else:
-            raise DataError(
-                f"evidence file {path}: entries must be strings or "
-                "objects with a 'text' field"
-            )
-    if not pieces:
-        raise DataError(f"evidence file {path} holds no evidence")
-    return pieces
-
-
-def _write_eval_outputs(out: str, report, table: str) -> None:
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    (out_dir / "table.txt").write_text(table + "\n", encoding="utf-8")
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     options = _merge_options(args)
     if not options["claim"] or not str(options["claim"]).strip():
@@ -322,21 +281,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError("--evidence is required")
     evidence = _read_evidence_file(options["evidence"])
     config = _build_pipeline_config(options, Ablation.NONE)
-    prompts = _load_prompts(options)
+    prompts = PromptLibrary.load(options["prompts_dir"])
     instance = ClaimInstance(
         id="cli", claim=options["claim"], evidence=tuple(evidence)
     )
-    with open_verifier(config, prompts, cache=_make_cache(options)) as verifier:
+    cache = ResponseCache(options["cache_dir"])
+    with open_verifier(config, prompts, cache=cache) as verifier:
         report = verifier.verify_claim(instance)
     payload = {"config": config.to_dict(), "report": report.to_dict()}
-    print(json.dumps(payload, ensure_ascii=False, indent=2))
+    sys.stdout.write(json_text(payload))
     if options["out"]:
-        out_dir = Path(options["out"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "verify.json").write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        write_json(Path(options["out"]) / "verify.json", payload)
     return 0
 
 
@@ -344,8 +299,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     options = _merge_options(args)
     instances = _load_instances(options)
     config = _build_pipeline_config(options, Ablation.NONE)
-    prompts = _load_prompts(options)
-    cache = _make_cache(options)
+    prompts = PromptLibrary.load(options["prompts_dir"])
+    cache = ResponseCache(options["cache_dir"])
     trace_dir = Path(options["out"]) / "traces" if options["out"] else None
     report = run_eval(
         instances,
@@ -358,7 +313,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     table = report.to_table()
     print(table)
     if options["out"]:
-        _write_eval_outputs(options["out"], report, table)
+        out_dir = Path(options["out"])
+        write_json(out_dir / "report.json", report.to_dict())
+        (out_dir / "table.txt").write_text(table + "\n", encoding="utf-8")
         print(f"report written to {options['out']}", file=sys.stderr)
     return 0
 
@@ -390,8 +347,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     variants = _parse_variants(options["variants"])
     instances = _load_instances(options)
     base_config = _build_pipeline_config(options, Ablation.NONE)
-    prompts = _load_prompts(options)
-    cache = _make_cache(options)
+    prompts = PromptLibrary.load(options["prompts_dir"])
+    cache = ResponseCache(options["cache_dir"])
     reports = run_ablation_matrix(
         instances,
         base_config,
@@ -405,14 +362,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     print(table)
     if options["out"]:
         out_dir = Path(options["out"])
-        out_dir.mkdir(parents=True, exist_ok=True)
         for report in reports:
-            variant_dir = out_dir / report.variant.value
-            variant_dir.mkdir(parents=True, exist_ok=True)
-            (variant_dir / "report.json").write_text(
-                json.dumps(report.to_dict(), ensure_ascii=False, indent=2) + "\n",
-                encoding="utf-8",
-            )
+            write_json(out_dir / report.variant.value / "report.json", report.to_dict())
         (out_dir / "comparison.txt").write_text(table + "\n", encoding="utf-8")
         print(f"reports written to {out_dir}", file=sys.stderr)
     return 0
@@ -456,12 +407,6 @@ def main(argv: list[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except PromptError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
@@ -475,6 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
+        # ConfigError, PromptError and invalid settings from the library.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

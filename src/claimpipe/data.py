@@ -1,5 +1,9 @@
-"""Dataset loading: HOVER, FEVEROUS (sentence-only subset), and a generic
-JSONL interchange format.
+"""Input files and JSON output.
+
+Loaders for HOVER, FEVEROUS (sentence-only subset) and a generic JSONL
+interchange format, and for the evidence file of ``claimpipe verify``. All
+of them read records through one reader and share the rules for ids,
+required fields and evidence entries; each loader adds only its own.
 
 Loaders expect evidence already resolved to sentence text. Records whose
 FEVEROUS evidence consists only of structured elements (table cells, list
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,8 +44,67 @@ class LabelMap:
 HOVER_LABELS = LabelMap((("SUPPORTED", Verdict.TRUE), ("NOT_SUPPORTED", Verdict.FALSE)))
 FEVEROUS_LABELS = LabelMap((("SUPPORTS", Verdict.TRUE), ("REFUTES", Verdict.FALSE)))
 
+# One evidence entry, normalized: (title or None, text).
+Entry = tuple[str | None, str]
+
 # FEVEROUS element-id infixes that mark structured (non-sentence) evidence.
 _STRUCTURED_MARKERS = ("_cell_", "_header_cell_", "_table_caption_", "_item_")
+
+
+def json_text(payload: object) -> str:
+    """The one serialization of every JSON output: indented, non-ASCII kept,
+    ending in a newline."""
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
+def write_json(path: str | Path, payload: object) -> None:
+    """Write ``json_text(payload)`` as UTF-8, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json_text(payload), encoding="utf-8")
+
+
+def _read_records(
+    path: Path, array: bool | None, objects: bool = True
+) -> Iterator[tuple[str, str, object]]:
+    """Yield ``(where, ref, record)`` for each record of a JSON array or JSONL
+    file, lazily and in file order, so the first bad record is the one reported.
+
+    ``where`` prefixes error messages (``path[i]`` or ``path:line``); ``ref``
+    names the record in a later record's message (``path[i]`` or ``line n``).
+    With ``array=None`` a text starting with ``[`` is one JSON array and any
+    other text is JSONL. With ``objects`` every record must be a JSON object.
+    """
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if array is None:
+        array = text.lstrip().startswith("[")
+    if array:
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise DataError(f"{path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, list):
+            raise DataError(f"{path}: expected a JSON array of records")
+        numbered = enumerate(data)
+    else:
+        numbered = enumerate(text.splitlines(), start=1)
+    for number, record in numbered:
+        if array:
+            where = ref = f"{path}[{number}]"
+        elif not record.strip():
+            continue
+        else:
+            where, ref = f"{path}:{number}", f"line {number}"
+            try:
+                record = json.loads(record)
+            except ValueError as exc:
+                raise DataError(f"{where}: invalid JSON: {exc}") from exc
+        if objects and not isinstance(record, dict):
+            raise DataError(f"{where}: record must be an object")
+        yield where, ref, record
 
 
 def _require(record: dict, key: str, where: str) -> object:
@@ -49,72 +113,101 @@ def _require(record: dict, key: str, where: str) -> object:
     return record[key]
 
 
-def _check_instance(instance: ClaimInstance, where: str) -> ClaimInstance:
-    if not instance.claim.strip():
+def _unique_id(uid: object, seen: dict[str, str], where: str, ref: str) -> str:
+    """``uid`` as a string, remembered in ``seen``; a repeat names both records.
+
+    Ids compare as strings, since they name trace files.
+    """
+    uid = str(uid)
+    if uid in seen:
+        raise DataError(f"{where}: duplicate id {uid!r} (first seen at {seen[uid]})")
+    seen[uid] = ref
+    return uid
+
+
+def _claim_fields(record: dict, where: str) -> tuple[object, object, list]:
+    """The required ``claim``, ``label`` and ``evidence`` (a list) fields."""
+    claim = _require(record, "claim", where)
+    label = _require(record, "label", where)
+    evidence = _require(record, "evidence", where)
+    if not isinstance(evidence, list):
+        raise DataError(f"{where}: evidence must be a list")
+    return claim, label, evidence
+
+
+def _piece(title: str | None, text: str, where: str) -> EvidencePiece:
+    if not text.strip():
+        raise DataError(f"{where}: evidence piece with empty text")
+    return EvidencePiece(text=text, title=title)
+
+
+def _instance(
+    uid: str,
+    claim: object,
+    entries: list[Entry],
+    gold: Verdict,
+    where: str,
+) -> ClaimInstance:
+    """One piece per ``(title, text)`` entry; claim and pieces must hold text."""
+    claim = str(claim)
+    if not claim.strip():
         raise DataError(f"{where}: claim text is empty")
-    if not instance.evidence:
+    if not entries:
         raise DataError(f"{where}: no usable evidence")
-    for piece in instance.evidence:
-        if not piece.text.strip():
-            raise DataError(f"{where}: evidence piece with empty text")
-    return instance
+    evidence = tuple(_piece(title, text, where) for title, text in entries)
+    return ClaimInstance(id=uid, claim=claim, evidence=evidence, gold_label=gold)
 
 
-def _evidence_from_entry(entry: object, where: str) -> tuple[str | None, str]:
-    """Normalize one evidence entry to (title, text)."""
+def _evidence_from_entry(entry: object, where: str) -> Entry:
+    """Normalize one evidence entry (a string, a ``{"title"?, "text"}``
+    object, or a ``[title, text or sentences]`` pair) to (title, text)."""
     if isinstance(entry, str):
         return None, entry
     if isinstance(entry, dict):
         if "text" not in entry:
             raise DataError(f"{where}: evidence object lacks a 'text' field")
-        text = entry["text"]
+        title, text = entry.get("title"), entry["text"]
         if not isinstance(text, str):
             raise DataError(f"{where}: evidence text must be a string")
-        title = entry.get("title")
-        if title is not None and not isinstance(title, str):
-            raise DataError(f"{where}: evidence title must be a string or null")
-        return title, text
-    if isinstance(entry, list) and len(entry) == 2:
-        title, payload = entry
-        if title is not None and not isinstance(title, str):
-            raise DataError(f"{where}: evidence title must be a string or null")
-        if isinstance(payload, str):
-            return title, payload
-        if isinstance(payload, list) and all(isinstance(s, str) for s in payload):
-            return title, " ".join(payload)
-        raise DataError(
-            f"{where}: evidence sentences must be text, not indices; "
-            "resolve them against the source corpus first"
-        )
-    raise DataError(f"{where}: unrecognized evidence entry shape")
+    elif isinstance(entry, list) and len(entry) == 2:
+        title, text = entry
+        if isinstance(text, list) and all(isinstance(s, str) for s in text):
+            text = " ".join(text)
+        elif not isinstance(text, str):
+            raise DataError(
+                f"{where}: evidence sentences must be text, not indices; "
+                "resolve them against the source corpus first"
+            )
+    else:
+        raise DataError(f"{where}: unrecognized evidence entry shape")
+    if title is not None and not isinstance(title, str):
+        raise DataError(f"{where}: evidence title must be a string or null")
+    return title, text
 
 
-def _group_by_title(
-    entries: list[tuple[str | None, str]]
-) -> tuple[EvidencePiece, ...]:
-    """Merge same-titled sentences into one piece, first-seen title order.
+def _group_by_title(entries: list[Entry]) -> list[Entry]:
+    """Merge same-titled sentences into one entry, in first-seen title order.
 
-    Untitled entries are never merged with each other.
+    An untitled entry keys on its position, so it is never merged.
     """
-    order: list[tuple[str | None, int]] = []
-    grouped: dict[str, list[str]] = {}
-    untitled: list[str] = []
-    for title, text in entries:
-        if title is None:
-            untitled.append(text)
-            order.append((None, len(untitled) - 1))
-        else:
-            if title not in grouped:
-                grouped[title] = []
-                order.append((title, 0))
-            grouped[title].append(text)
-    pieces = []
-    for title, index in order:
-        if title is None:
-            pieces.append(EvidencePiece(text=untitled[index], title=None))
-        else:
-            pieces.append(EvidencePiece(text=" ".join(grouped[title]), title=title))
-    return tuple(pieces)
+    grouped: dict[tuple[str | None, int], list[str]] = {}
+    for position, (title, text) in enumerate(entries):
+        key = (None, position) if title is None else (title, 0)
+        grouped.setdefault(key, []).append(text)
+    return [(title, " ".join(texts)) for (title, _), texts in grouped.items()]
+
+
+def load_evidence(path: str | Path) -> list[EvidencePiece]:
+    """Load a ``claimpipe verify`` evidence file: a JSON array or JSONL of
+    evidence entries in any shape the loaders take, one piece per entry."""
+    path = Path(path)
+    pieces = [
+        _piece(*_evidence_from_entry(entry, where), where)
+        for where, _, entry in _read_records(path, array=None, objects=False)
+    ]
+    if not pieces:
+        raise DataError(f"evidence file {path} holds no evidence")
+    return pieces
 
 
 def load_hover(
@@ -122,53 +215,19 @@ def load_hover(
 ) -> list[ClaimInstance]:
     """Load a HOVER-style JSON array, optionally filtering by hop count."""
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise DataError(f"{path}: expected a JSON array of records")
     instances = []
-    seen_ids: dict[str, int] = {}
-    for position, record in enumerate(data):
-        where = f"{path}[{position}]"
-        if not isinstance(record, dict):
-            raise DataError(f"{where}: record must be an object")
+    seen_ids: dict[str, str] = {}
+    for where, ref, record in _read_records(path, array=True):
         uid = record.get("uid", record.get("id"))
         if uid is None:
             raise DataError(f"{where}: missing record id ('uid' or 'id')")
-        uid = str(uid)
-        if uid in seen_ids:
-            raise DataError(
-                f"{where}: duplicate id {uid!r} "
-                f"(first seen at {path}[{seen_ids[uid]}])"
-            )
-        seen_ids[uid] = position
-        num_hops = record.get("num_hops")
-        if hops is not None and num_hops != hops:
+        uid = _unique_id(uid, seen_ids, where, ref)
+        if hops is not None and record.get("num_hops") != hops:
             continue
-        claim = _require(record, "claim", where)
-        label = _require(record, "label", where)
-        raw_evidence = _require(record, "evidence", where)
-        if not isinstance(raw_evidence, list):
-            raise DataError(f"{where}: evidence must be a list")
-        entries = [
-            _evidence_from_entry(entry, where) for entry in raw_evidence
-        ]
-        instances.append(
-            _check_instance(
-                ClaimInstance(
-                    id=uid,
-                    claim=str(claim),
-                    evidence=_group_by_title(entries),
-                    gold_label=HOVER_LABELS.apply(label),
-                ),
-                where,
-            )
-        )
+        claim, label, raw_evidence = _claim_fields(record, where)
+        entries = [_evidence_from_entry(entry, where) for entry in raw_evidence]
+        gold = HOVER_LABELS.apply(label)
+        instances.append(_instance(uid, claim, _group_by_title(entries), gold, where))
     if not instances:
         raise DataError(f"{path}: no records loaded (check the hops filter)")
     return instances
@@ -196,44 +255,22 @@ def load_feverous(path: str | Path) -> list[ClaimInstance]:
     counted. Sentence ids without resolved text are an error.
     """
     path = Path(path)
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
     instances = []
     skipped_structured = 0
-    seen_ids: dict[str, int] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise DataError(f"{where}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise DataError(f"{where}: record must be an object")
+    seen_ids: dict[str, str] = {}
+    for where, ref, record in _read_records(path, array=False):
         # Header lines in FEVEROUS dumps carry no claim; skip them silently.
         if "claim" not in record and "label" not in record:
             continue
         uid = record.get("id", record.get("uid"))
         if uid is None:
             raise DataError(f"{where}: missing record id")
-        uid = str(uid)
-        if uid in seen_ids:
-            raise DataError(
-                f"{where}: duplicate id {uid!r} (first seen at line {seen_ids[uid]})"
-            )
-        seen_ids[uid] = lineno
-        claim = _require(record, "claim", where)
-        label = _require(record, "label", where)
-        raw_evidence = _require(record, "evidence", where)
-        if not isinstance(raw_evidence, list):
-            raise DataError(f"{where}: evidence must be a list")
+        uid = _unique_id(uid, seen_ids, where, ref)
+        claim, label, raw_evidence = _claim_fields(record, where)
         if _feverous_structured_only(raw_evidence):
             skipped_structured += 1
             continue
-        entries: list[tuple[str | None, str]] = []
+        entries: list[Entry] = []
         for entry in raw_evidence:
             if isinstance(entry, dict) and "content" in entry and "text" not in entry:
                 raise DataError(
@@ -241,17 +278,8 @@ def load_feverous(path: str | Path) -> list[ClaimInstance]:
                     "resolve sentences against the source corpus first"
                 )
             entries.append(_evidence_from_entry(entry, where))
-        instances.append(
-            _check_instance(
-                ClaimInstance(
-                    id=uid,
-                    claim=str(claim),
-                    evidence=_group_by_title(entries),
-                    gold_label=FEVEROUS_LABELS.apply(label),
-                ),
-                where,
-            )
-        )
+        gold = FEVEROUS_LABELS.apply(label)
+        instances.append(_instance(uid, claim, _group_by_title(entries), gold, where))
     if skipped_structured:
         log.info(
             "skipped %d record(s) with structured-only evidence", skipped_structured
@@ -268,54 +296,19 @@ def load_generic(path: str | Path) -> list[ClaimInstance]:
     "evidence": [{"title"?, "text"}]}.
     """
     path = Path(path)
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
     instances = []
-    seen_ids: dict[str, int] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise DataError(f"{where}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise DataError(f"{where}: record must be an object")
-        uid = str(_require(record, "id", where))
-        if uid in seen_ids:
-            raise DataError(
-                f"{where}: duplicate id {uid!r} (first seen at line {seen_ids[uid]})"
-            )
-        seen_ids[uid] = lineno
-        claim = _require(record, "claim", where)
-        label = _require(record, "label", where)
+    seen_ids: dict[str, str] = {}
+    for where, ref, record in _read_records(path, array=False):
+        uid = _unique_id(_require(record, "id", where), seen_ids, where, ref)
+        claim, label, raw_evidence = _claim_fields(record, where)
         if isinstance(label, bool):
             verdict = Verdict.from_bool(label)
         elif isinstance(label, str) and label.lower() in ("true", "false"):
             verdict = Verdict.from_bool(label.lower() == "true")
         else:
             raise DataError(f"{where}: label must be true or false, got {label!r}")
-        raw_evidence = _require(record, "evidence", where)
-        if not isinstance(raw_evidence, list):
-            raise DataError(f"{where}: evidence must be a list")
         entries = [_evidence_from_entry(entry, where) for entry in raw_evidence]
-        instances.append(
-            _check_instance(
-                ClaimInstance(
-                    id=uid,
-                    claim=str(claim),
-                    evidence=tuple(
-                        EvidencePiece(text=text, title=title)
-                        for title, text in entries
-                    ),
-                    gold_label=verdict,
-                ),
-                where,
-            )
-        )
+        instances.append(_instance(uid, claim, entries, verdict, where))
     if not instances:
         raise DataError(f"{path}: no records loaded")
     return instances

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import logging
 import re
 import time
@@ -17,6 +16,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
+from .data import write_json
 from .llm import ResponseCache
 from .pipeline import (
     Ablation,
@@ -276,11 +276,7 @@ def run_eval(
                 rows[position] = row
                 # Traces land on disk as soon as each claim finishes.
                 if out_dir is not None and report is not None:
-                    path = _trace_path(out_dir, row.claim_id)
-                    path.write_text(
-                        json.dumps(report.to_dict(), ensure_ascii=False, indent=2),
-                        encoding="utf-8",
-                    )
+                    write_json(_trace_path(out_dir, row.claim_id), report.to_dict())
         elapsed = time.monotonic() - started
     clients = (verifier.abstraction_client, verifier.verification_client)
 

@@ -196,20 +196,35 @@ class Script:
 
     Hash entries match the exact prompt; regex entries are tried in file
     order against the prompt text. Hash entries win over regex entries.
+    A malformed entry raises ``ValueError`` naming its index.
     """
 
     def __init__(self, entries: list[dict]):
         self.by_hash: dict[str, str] = {}
         self.by_regex: list[tuple[re.Pattern[str], str]] = []
-        for entry in entries:
-            if "hash" in entry:
-                self.by_hash[entry["hash"]] = entry["response"]
-            elif "regex" in entry:
-                self.by_regex.append(
-                    (re.compile(entry["regex"], re.DOTALL), entry["response"])
+        for index, entry in enumerate(entries):
+            response = entry.get("response") if isinstance(entry, dict) else None
+            if not isinstance(response, str):
+                raise ValueError(
+                    f"script entry {index} must be an object with a string 'response'"
                 )
-            else:
-                raise ValueError("script entry needs a 'hash' or 'regex' field")
+            digest = entry.get("hash")
+            if isinstance(digest, str) and "regex" not in entry:
+                self.by_hash[digest] = response
+                continue
+            regex = entry.get("regex")
+            if not isinstance(regex, str) or "hash" in entry:
+                raise ValueError(
+                    f"script entry {index} needs exactly one of a string 'hash' "
+                    "or 'regex'"
+                )
+            try:
+                pattern = re.compile(regex, re.DOTALL)
+            except re.error as exc:
+                raise ValueError(
+                    f"script entry {index} has an invalid regex: {exc}"
+                ) from exc
+            self.by_regex.append((pattern, response))
 
     @classmethod
     def load(cls, path: str | Path) -> "Script":
@@ -259,20 +274,21 @@ class CompletionClient:
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         key = cache_key(request)
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                with self._lock:
-                    self.cache_hits += 1
-                return hit
-        if self.backend.kind is BackendKind.SCRIPTED:
-            response = self._scripted_complete(request)
-        else:
-            response = self._http_complete(request)
-        if self.cache is not None:
-            self.cache.put(key, response)
+        response = self.cache.get(key) if self.cache is not None else None
+        if response is None:
+            if self.backend.kind is BackendKind.SCRIPTED:
+                response = self._scripted_complete(request)
+            else:
+                response = self._http_complete(request)
+            if self.cache is not None:
+                self.cache.put(key, response)
+        # A hit counts the tokens stored with it, so totals do not depend on
+        # what the cache held before the run.
         with self._lock:
-            self.request_count += 1
+            if response.cached:
+                self.cache_hits += 1
+            else:
+                self.request_count += 1
             self.prompt_tokens_total += response.prompt_tokens
             self.completion_tokens_total += response.completion_tokens
         return response

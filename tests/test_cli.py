@@ -605,3 +605,98 @@ class TestExitCodes:
         assert payload["config"]["t1"] == 60.0
         assert payload["config"]["short_circuit"] is True
         assert payload["config"]["with_claim_context"] is True
+
+
+class TestEvidenceEntryRules:
+    """``verify`` takes and refuses evidence entries as the loaders do."""
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [([{"title": 5, "text": "x"}], "title"), (["   "], "empty text")],
+    )
+    def test_bad_entry_is_data_error(
+        self, six_bundle, tmp_path, capsys, entries, message
+    ):
+        evidence = write_json(tmp_path / "e.json", entries)
+        code = main(
+            [
+                "verify",
+                "--claim", "Anything.",
+                "--evidence", str(evidence),
+                *scripted_args(six_bundle.script_path, tmp_path / "cache"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert message in err
+
+    def test_title_text_pairs_read_like_objects(self, six_bundle, tmp_path, capsys):
+        shapes = {
+            "objects": [
+                {"title": title, "text": text}
+                for title, text in CLAIMS[0]["evidence"]
+            ],
+            "pairs": [[title, text] for title, text in CLAIMS[0]["evidence"]],
+        }
+        outputs = {}
+        for name, entries in shapes.items():
+            evidence = write_json(tmp_path / f"{name}.json", entries)
+            code = main(
+                [
+                    "verify",
+                    "--claim", CLAIMS[0]["claim"],
+                    "--evidence", str(evidence),
+                    *scripted_args(six_bundle.script_path, tmp_path / name),
+                ]
+            )
+            assert code == 0
+            outputs[name] = capsys.readouterr().out
+        assert outputs["pairs"] == outputs["objects"]
+        assert json.loads(outputs["pairs"])["report"]["final"] == "false"
+
+
+class TestMalformedScript:
+    @pytest.mark.parametrize(
+        "entries",
+        [[1], [{"hash": "abc"}], [{"regex": "(", "response": "x"}]],
+        ids=["not-an-object", "no-response", "bad-regex"],
+    )
+    def test_rejected_at_start_up(self, tmp_path, capsys, entries):
+        script = write_json(tmp_path / "script.json", entries)
+        evidence = spam_evidence_file(tmp_path)
+        code = main(
+            [
+                "verify",
+                "--claim", "Anything.",
+                "--evidence", str(evidence),
+                *scripted_args(script, tmp_path / "cache"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "script entry 0" in err
+
+
+class TestOutputFiles:
+    def test_every_json_output_is_indented_and_ends_in_a_newline(
+        self, six_bundle, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "eval",
+                "--data-path", str(six_bundle.dataset_path),
+                "--out", str(out_dir),
+                *scripted_args(six_bundle.script_path, tmp_path / "cache"),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        paths = [out_dir / "report.json", *(out_dir / "traces").glob("*.json")]
+        assert len(paths) == 7
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            expected = json.dumps(json.loads(text), ensure_ascii=False, indent=2)
+            assert text == expected + "\n"

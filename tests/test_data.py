@@ -353,3 +353,27 @@ class TestGenericRoundTrip:
         path.write_text("", encoding="utf-8")
         with pytest.raises(DataError, match="no records"):
             load_generic(path)
+
+
+class TestSharedRecordRules:
+    @pytest.mark.parametrize("loader", [load_hover, load_feverous, load_generic])
+    def test_undecodable_file_is_a_data_error(self, tmp_path, loader):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe[{"id": 1}]\n')
+        with pytest.raises(DataError, match="cannot read"):
+            loader(path)
+
+    def test_untitled_entries_are_never_merged(self, tmp_path):
+        record = {
+            "uid": "h1",
+            "claim": "C.",
+            "label": "SUPPORTED",
+            "evidence": ["a.", ["T", "x."], "a.", ["T", "y."], [None, "b."]],
+        }
+        path = write_json(tmp_path / "hover.json", [record])
+        assert load_hover(path)[0].evidence == (
+            EvidencePiece(text="a.", title=None),
+            EvidencePiece(text="x. y.", title="T"),
+            EvidencePiece(text="a.", title=None),
+            EvidencePiece(text="b.", title=None),
+        )

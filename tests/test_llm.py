@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 import requests
 
+from claimpipe.evaluation import run_eval
 from claimpipe.llm import (
     BackendConfig,
     BackendKind,
@@ -24,6 +25,7 @@ from claimpipe.llm import (
     retry_delay,
     script_entry,
 )
+from claimpipe.pipeline import ClaimInstance, EvidencePiece, PipelineConfig, Verdict
 
 
 class ChatHandler(BaseHTTPRequestHandler):
@@ -57,7 +59,9 @@ def chat_server():
     server = HTTPServer(("127.0.0.1", 0), ChatHandler)
     server.requests_seen = []
     server.responses = [(200, chat_payload("default"))]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield server
@@ -396,3 +400,35 @@ class TestRetryAfterOverHttp:
         waited = time.monotonic() - started
         assert len(chat_server.requests_seen) == 2
         assert (waited >= 1.0) is honoured
+
+
+class TestTokenTotalsIgnoreCache:
+    def test_cold_and_warm_runs_report_equal_totals(
+        self, chat_server, tmp_path, prompt_library
+    ):
+        # One answer serves every stage: two keywords, a summary, a one-part
+        # claim and a verdict that abstains.
+        chat_server.responses = [(200, chat_payload("alpha, beta."))]
+        backend = http_backend(chat_server)
+        config = PipelineConfig(
+            abstraction_backend=backend, verification_backend=backend
+        )
+        instances = [
+            ClaimInstance(
+                id=f"c{n}",
+                claim=claim,
+                evidence=(EvidencePiece(text="alpha beta delta."),),
+                gold_label=Verdict.TRUE,
+            )
+            for n, claim in enumerate(["alpha beta gamma.", "alpha beta mu."])
+        ]
+        cache = ResponseCache(tmp_path / "cache")
+        cold = run_eval(instances, config, prompt_library, cache=cache)
+        sent = len(chat_server.requests_seen)
+        warm = run_eval(instances, config, prompt_library, cache=cache)
+        assert len(chat_server.requests_seen) == sent
+        assert cold.counts.error_count == 0
+        assert cold.prompt_tokens > 0
+        assert warm.to_dict(include_timing=False) == cold.to_dict(
+            include_timing=False
+        )
