@@ -72,15 +72,17 @@ def _read_records(
 
     ``where`` prefixes error messages (``path[i]`` or ``path:line``); ``ref``
     names the record in a later record's message (``path[i]`` or ``line n``).
-    With ``array=None`` a text starting with ``[`` is one JSON array and any
-    other text is JSONL. With ``objects`` every record must be a JSON object.
+    With ``array=None`` a ``.jsonl`` file is JSONL, since a JSONL record may
+    itself be an array; any other file is one JSON array when its text
+    starts with ``[``, and JSONL otherwise. With ``objects`` every record
+    must be a JSON object.
     """
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if array is None:
-        array = text.lstrip().startswith("[")
+        array = path.suffix.lower() != ".jsonl" and text.lstrip().startswith("[")
     if array:
         try:
             data = json.loads(text)
@@ -199,7 +201,8 @@ def _group_by_title(entries: list[Entry]) -> list[Entry]:
 
 def load_evidence(path: str | Path) -> list[EvidencePiece]:
     """Load a ``claimpipe verify`` evidence file: a JSON array or JSONL of
-    evidence entries in any shape the loaders take, one piece per entry."""
+    evidence entries in any shape the loaders take, one piece per entry.
+    A ``.jsonl`` file is always JSONL (see :func:`_read_records`)."""
     path = Path(path)
     pieces = [
         _piece(*_evidence_from_entry(entry, where), where)

@@ -3,12 +3,25 @@
 All scores are real-valued percentages in [0, 100]. Inputs to the ratio
 functions are expected to be preprocessed (see :func:`preprocess`); the
 functions themselves do no normalization.
+
+Keyword selection scores several short needles against each long evidence
+text. What a score needs of the haystack alone (its character counts, its
+token set and its sorted unique tokens) is kept in a :class:`Profile`,
+built once per text and shared through a small bounded cache.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, compress
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, compress
+from operator import sub
+from typing import Iterator
+
+# Profiles of the most recently scored haystacks. A claim scores all its
+# keywords against one piece before the next, so each worker thread needs
+# one entry at a time; the rest absorb interleaving between threads.
+PROFILE_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -80,34 +93,102 @@ def simple_ratio(a: str, b: str) -> float:
     return _ratio(indel_distance(a, b), len(a) + len(b))
 
 
+class Profile:
+    """What scoring any needle against one haystack needs of the haystack.
+
+    ``counts`` maps each character to its number of occurrences and
+    ``tokens`` is the set of whitespace-separated tokens. ``sorted_tokens``
+    joins the unique tokens in sorted order with single spaces; it is built
+    on first use, since only :func:`token_set_ratio` needs it and only when
+    the needle has a token the haystack lacks.
+    """
+
+    def __init__(self, text: str):
+        self.counts = Counter(text)
+        self.tokens = frozenset(text.split())
+
+    @cached_property
+    def sorted_tokens(self) -> str:
+        return " ".join(sorted(self.tokens))
+
+
+@lru_cache(maxsize=PROFILE_CACHE_SIZE)
+def profile(text: str) -> Profile:
+    """The :class:`Profile` of ``text``, shared by the calls that score
+    against it while it is among the PROFILE_CACHE_SIZE most recent."""
+    return Profile(text)
+
+
 def partial_ratio(needle: str, haystack: str) -> float:
     """Best :func:`simple_ratio` of the needle against any same-length window.
 
     The shorter argument plays the needle. Every start offset counts, so a
-    needle occurring verbatim in the haystack always scores 100. Two rules
-    skip windows without changing the score. A window whose first character
-    is not in the needle never beats the window one step later, so such
-    windows are skipped, except the last. And no window shares more
-    characters with the needle than the whole haystack does, so the scan
-    stops when a window reaches that count. Cost is at most
-    O(len(haystack) * len(needle)) steps on ints of len(needle) bits.
+    needle occurring verbatim in the haystack always scores 100. Otherwise
+    the best LCS of a window with the needle lies between 1 and a bound: no
+    window equals the needle, and none shares more characters with it than
+    the whole haystack does, counted from the haystack's :func:`profile`.
+    A bound of 0 scores 0. The scan stops when a window reaches the bound;
+    the windows aligned with either half of the needle are scored first,
+    since a near match keeps one half intact. No rule changes the score:
+
+    * A window whose first character is not in the needle never beats the
+      window one step later, so such windows are skipped, except the last.
+    * A window's LCS is at most its number of characters that occur in the
+      needle, counted for every window at once from prefix sums. A window
+      whose count does not exceed the best LCS so far is skipped.
+
+    Cost is at most O(len(haystack) * len(needle)) steps on ints of
+    len(needle) bits.
     """
     if len(needle) > len(haystack):
         needle, haystack = haystack, needle
     if needle in haystack:
         return 100.0
-    size = len(needle)
+    counts = profile(haystack).counts
     masks = _char_masks(needle)
-    bound = sum(min(needle.count(ch), haystack.count(ch)) for ch in masks)
+    size = len(needle)
+    # Only a window equal to the needle has an LCS of len(needle).
+    bound = min(size - 1, sum(min(needle.count(ch), counts[ch]) for ch in masks))
+    if bound == 0:
+        return 0.0
+    # Some window holds a shared character.
+    best = 1
     full = (1 << size) - 1
     last = len(haystack) - size
-    best = 0
-    starts = compress(range(last), map(masks.__contains__, haystack))
-    for start in chain(starts, (last,)):
-        if best == bound:
-            break
+    for start in _seed_starts(needle, haystack, last):
         best = max(best, _lcs_length(masks, full, haystack[start : start + size]))
+    if best < bound:
+        in_needle = list(map(masks.__contains__, haystack))
+        sums = list(accumulate(in_needle, initial=0))
+        window_counts = list(map(sub, sums[size:], sums))
+        for start in chain(compress(range(last), in_needle), (last,)):
+            if window_counts[start] > best:
+                window = haystack[start : start + size]
+                best = max(best, _lcs_length(masks, full, window))
+                if best == bound:
+                    break
     return _ratio(2 * (size - best), 2 * size)
+
+
+def _seed_starts(needle: str, haystack: str, last: int) -> Iterator[int]:
+    """Starts of the windows aligned with the first occurrence of each half
+    of the needle, clamped to [0, last]. A window one edit away from the
+    needle keeps one half intact, so these windows often score the best."""
+    half = len(needle) // 2
+    for part, offset in ((needle[:half], 0), (needle[half:], half)):
+        at = haystack.find(part)
+        if at >= 0:
+            yield min(max(at - offset, 0), last)
+
+
+def _without(sorted_tokens: str, tokens: list[str]) -> str:
+    """``sorted_tokens`` (unique tokens joined by single spaces) with each of
+    ``tokens``, all present in it, taken out."""
+    padded = f" {sorted_tokens} "
+    for token in tokens:
+        at = padded.index(f" {token} ")
+        padded = padded[:at] + padded[at + len(token) + 1 :]
+    return padded[1:-1]
 
 
 def token_set_ratio(a: str, b: str) -> float:
@@ -117,16 +198,32 @@ def token_set_ratio(a: str, b: str) -> float:
     tokens, and the two combined strings with each other; returns the max.
     As t0 is a prefix of both combined strings, the first two distances are
     length differences and the third is the distance between the suffixes.
+
+    ``b``'s token set, sorted tokens and characters come from its
+    :func:`profile`, so only ``a`` is split and sorted per call. Two exits
+    skip work without changing the score. When every token of ``a`` is in
+    ``b``, t0 equals a's combined string and the score is 100. When a's
+    leftover tokens share no character with ``b``, only the separating
+    spaces of the two suffixes can match, so their LCS is the smaller
+    number of spaces and no LCS is run.
     """
     tokens_a = set(a.split())
-    tokens_b = set(b.split())
-    common = sorted(tokens_a & tokens_b)
+    b_profile = profile(b)
+    if tokens_a <= b_profile.tokens:
+        return 100.0
+    common = sorted(tokens_a & b_profile.tokens)
     t0 = " ".join(common)
-    d1 = " ".join(common + sorted(tokens_a - tokens_b))
-    d2 = " ".join(common + sorted(tokens_b - tokens_a))
+    d1 = " ".join(common + sorted(tokens_a - b_profile.tokens))
+    rest = _without(b_profile.sorted_tokens, common)
+    d2 = f"{t0} {rest}" if t0 and rest else t0 + rest
     prefix = len(t0)
+    s1, s2 = d1[prefix:], d2[prefix:]
+    if set(s1).intersection(b_profile.counts) <= {" "}:
+        dist = len(s1) + len(s2) - 2 * min(s1.count(" "), s2.count(" "))
+    else:
+        dist = indel_distance(s1, s2)
     return max(
         _ratio(len(d1) - prefix, prefix + len(d1)),
         _ratio(len(d2) - prefix, prefix + len(d2)),
-        _ratio(indel_distance(d1[prefix:], d2[prefix:]), len(d1) + len(d2)),
+        _ratio(dist, len(d1) + len(d2)),
     )

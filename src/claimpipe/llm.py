@@ -15,7 +15,7 @@ import re
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -99,6 +99,8 @@ class CompletionResponse:
     prompt_tokens: int = 0
     completion_tokens: int = 0
     cached: bool = False
+    # SHA-256 of the prompt, set by CompletionClient.complete; not cached.
+    prompt_sha256: str = ""
 
 
 def retry_delay(
@@ -234,8 +236,10 @@ class Script:
             raise ValueError("script file must contain a JSON list of entries")
         return cls(entries)
 
-    def lookup(self, prompt: str) -> str | None:
-        hit = self.by_hash.get(prompt_sha256(prompt))
+    def lookup(self, prompt: str, digest: str | None = None) -> str | None:
+        """The response for ``prompt``, or None. ``digest`` is the prompt's
+        SHA-256 when the caller has already computed it."""
+        hit = self.by_hash.get(digest or prompt_sha256(prompt))
         if hit is not None:
             return hit
         for pattern, response in self.by_regex:
@@ -245,16 +249,25 @@ class Script:
 
 
 class CompletionClient:
-    """Caching client over one configured backend. Thread-safe."""
+    """Caching client over one configured backend. Thread-safe.
 
-    def __init__(self, backend: BackendConfig, cache: ResponseCache | None = None):
+    A scripted backend reads its script file, unless ``script``, already
+    loaded from that file, is given.
+    """
+
+    def __init__(
+        self,
+        backend: BackendConfig,
+        cache: ResponseCache | None = None,
+        script: Script | None = None,
+    ):
         self.backend = backend
         self.cache = cache
-        self._script = (
-            Script.load(backend.script_path)
-            if backend.kind is BackendKind.SCRIPTED
-            else None
-        )
+        if backend.kind is not BackendKind.SCRIPTED:
+            script = None
+        elif script is None:
+            script = Script.load(backend.script_path)
+        self.script = script
         self._lock = threading.Lock()
         self.prompt_tokens_total = 0
         self.completion_tokens_total = 0
@@ -273,14 +286,22 @@ class CompletionClient:
         return self.complete(self.request_for(prompt))
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        key = cache_key(request)
-        response = self.cache.get(key) if self.cache is not None else None
-        if response is None:
+        """The response to ``request``, carrying the prompt's SHA-256.
+
+        The prompt is hashed once per call; the cache key, a second hash,
+        is built only when a cache is attached.
+        """
+        digest = prompt_sha256(request.prompt)
+        key = cache_key(request) if self.cache is not None else None
+        response = self.cache.get(key) if key is not None else None
+        if response is not None:
+            response = replace(response, prompt_sha256=digest)
+        else:
             if self.backend.kind is BackendKind.SCRIPTED:
-                response = self._scripted_complete(request)
+                response = self._scripted_complete(request, digest)
             else:
-                response = self._http_complete(request)
-            if self.cache is not None:
+                response = self._http_complete(request, digest)
+            if key is not None:
                 self.cache.put(key, response)
         # A hit counts the tokens stored with it, so totals do not depend on
         # what the cache held before the run.
@@ -293,18 +314,20 @@ class CompletionClient:
             self.completion_tokens_total += response.completion_tokens
         return response
 
-    def _scripted_complete(self, request: CompletionRequest) -> CompletionResponse:
-        assert self._script is not None
-        text = self._script.lookup(request.prompt)
+    def _scripted_complete(
+        self, request: CompletionRequest, digest: str
+    ) -> CompletionResponse:
+        assert self.script is not None
+        text = self.script.lookup(request.prompt, digest)
         if text is None:
             raise ScriptedMissError(
-                "no script entry matches prompt",
-                prompt_sha256=prompt_sha256(request.prompt),
+                "no script entry matches prompt", prompt_sha256=digest
             )
-        return CompletionResponse(text=text)
+        return CompletionResponse(text=text, prompt_sha256=digest)
 
-    def _http_complete(self, request: CompletionRequest) -> CompletionResponse:
-        digest = prompt_sha256(request.prompt)
+    def _http_complete(
+        self, request: CompletionRequest, digest: str
+    ) -> CompletionResponse:
         body = {
             "model": request.model_id,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -384,4 +407,5 @@ class CompletionClient:
             text=content,
             prompt_tokens=_count("prompt_tokens"),
             completion_tokens=_count("completion_tokens"),
+            prompt_sha256=digest,
         )

@@ -27,7 +27,6 @@ from .llm import (
     BackendKind,
     CompletionClient,
     ResponseCache,
-    prompt_sha256,
 )
 from .prompts import MIN_SUMMARY_KEYWORDS, PromptLibrary, format_evidence_block
 
@@ -448,7 +447,7 @@ class ClaimVerifier:
     def _call(self, client: CompletionClient, stage: str, prompt: str) -> TraceEntry:
         response = client.complete_prompt(prompt)
         return TraceEntry(
-            stage=stage, prompt_sha256=prompt_sha256(prompt), response=response.text
+            stage=stage, prompt_sha256=response.prompt_sha256, response=response.text
         )
 
     def extract_keywords(self, claim: str, trace: list[TraceEntry]) -> list[str]:
@@ -673,7 +672,13 @@ def open_verifier(
     if None in backends:
         raise ValueError("config must carry both backends")
     abstraction_client = CompletionClient(config.abstraction_backend, cache=cache)
-    verification_client = CompletionClient(config.verification_backend, cache=cache)
+    # Equal scripted backends read and check their script file once.
+    shared = config.verification_backend == config.abstraction_backend
+    verification_client = CompletionClient(
+        config.verification_backend,
+        cache=cache,
+        script=abstraction_client.script if shared else None,
+    )
     executor = None
     if any(backend.kind is BackendKind.HTTP_CHAT for backend in backends):
         executor = ThreadPoolExecutor(

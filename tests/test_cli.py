@@ -217,6 +217,24 @@ class TestReadEvidenceFile:
         pieces = _read_evidence_file(str(path))
         assert [p.text for p in pieces] == ["One.", "Two."]
 
+    def test_jsonl_of_one_pair_is_one_titled_piece(self, tmp_path):
+        # A line that is itself an array must not be read as the whole file.
+        path = tmp_path / "e.jsonl"
+        path.write_text('["T", "alpha one."]\n', encoding="utf-8")
+        pieces = _read_evidence_file(str(path))
+        assert [(p.title, p.text) for p in pieces] == [("T", "alpha one.")]
+
+    def test_jsonl_of_pairs_one_per_line(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text(
+            '["T", "alpha one."]\n["U", ["beta.", "two."]]\n', encoding="utf-8"
+        )
+        pieces = _read_evidence_file(str(path))
+        assert [(p.title, p.text) for p in pieces] == [
+            ("T", "alpha one."),
+            ("U", "beta. two."),
+        ]
+
     def test_bad_entry_rejected(self, tmp_path):
         path = write_json(tmp_path / "e.json", [{"title": "no text"}])
         with pytest.raises(cli.DataError, match="text"):

@@ -5,10 +5,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from claimpipe import fuzzy
 from claimpipe.fuzzy import (
+    PROFILE_CACHE_SIZE,
     indel_distance,
     partial_ratio,
     preprocess,
+    profile,
     simple_ratio,
     token_set_ratio,
 )
@@ -259,3 +262,101 @@ class TestAgainstBothOracles:
             assert token_set_ratio(a, b) == oracles.token_set_ratio_oracle(
                 a, b, indel
             )
+
+
+def assert_scores_match_oracles(needle, haystack):
+    for indel in oracles.INDEL_ORACLES:
+        assert partial_ratio(needle, haystack) == oracles.partial_ratio_oracle(
+            needle, haystack, indel
+        )
+        assert token_set_ratio(needle, haystack) == oracles.token_set_ratio_oracle(
+            needle, haystack, indel
+        )
+
+
+def normalized(text: str) -> str:
+    """Single spaces between tokens, as keyword selection passes."""
+    return " ".join(text.split())
+
+
+PIECE = st.text(alphabet="abcde ", min_size=1, max_size=40).map(normalized)
+KEYWORD = st.text(alphabet="abcdef ", max_size=10).map(normalized)
+
+
+class TestProfilePath:
+    """Scores through a shared haystack profile, against both oracles."""
+
+    def test_profile_is_shared_per_text(self):
+        assert profile("spam and eggs") is profile("spam and eggs")
+        assert profile("spam and eggs").tokens == {"spam", "and", "eggs"}
+        assert profile("spam and eggs").sorted_tokens == "and eggs spam"
+        assert profile("spam and eggs").counts["a"] == 2
+
+    @given(PIECE, st.lists(KEYWORD, min_size=2, max_size=8))
+    def test_many_needles_against_one_haystack(self, haystack, needles):
+        for needle in needles:
+            assert_scores_match_oracles(needle, haystack)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.lists(
+            PIECE,
+            min_size=PROFILE_CACHE_SIZE + 1,
+            max_size=PROFILE_CACHE_SIZE + 4,
+            unique=True,
+        ),
+        st.lists(KEYWORD, min_size=1, max_size=3),
+    )
+    def test_more_haystacks_than_the_cache_holds_interleaved(self, haystacks, needles):
+        # Each round evicts every profile before it is used again.
+        for needle in needles:
+            for haystack in haystacks:
+                assert_scores_match_oracles(needle, haystack)
+        assert profile.cache_info().currsize <= PROFILE_CACHE_SIZE
+
+    @given(PIECE, st.data())
+    def test_needles_from_the_haystacks_own_letters(self, haystack, data):
+        assume(len(haystack) >= 2)
+        letters = data.draw(
+            st.lists(st.sampled_from(haystack), min_size=2, max_size=len(haystack))
+        )
+        needle = "".join(data.draw(st.permutations(letters)))
+        assume(needle not in haystack)
+        assert_scores_match_oracles(needle, haystack)
+
+    @given(KEYWORD, KEYWORD)
+    def test_needle_longer_than_haystack(self, needle, haystack):
+        assume(len(needle) > len(haystack))
+        assert_scores_match_oracles(needle, haystack)
+
+    @given(NON_ASCII, st.lists(NON_ASCII, min_size=1, max_size=4))
+    def test_non_ascii(self, haystack, needles):
+        for needle in needles:
+            assert_scores_match_oracles(normalized(needle), normalized(haystack))
+
+    @given(st.sampled_from(["", " ", "  \t "]), KEYWORD)
+    def test_empty_token_sets(self, blank, text):
+        assert_scores_match_oracles(blank, text)
+        assert_scores_match_oracles(text, blank)
+
+    def test_windows_that_cannot_beat_the_best_are_not_scored(self, monkeypatch):
+        scored = []
+        real_lcs = fuzzy._lcs_length
+
+        def recording_lcs(masks, full, window):
+            scored.append(window)
+            return real_lcs(masks, full, window)
+
+        monkeypatch.setattr(fuzzy, "_lcs_length", recording_lcs)
+        # The seed window scores 3 and "bcdeqq" 4. "edcbqq" holds 4 needle
+        # characters, no more than the best, so it is skipped.
+        assert partial_ratio("abcdef", "abcqqqbcdeqqqqqqqqedcbqq") == pytest.approx(
+            200 / 3
+        )
+        assert scored == ["abcqqq", "bcdeqq"]
+
+    def test_last_window_counts_although_it_starts_outside_the_needle(self):
+        # Only the last window, "xbcdzf", holds the LCS "bcdf".
+        haystack = "aqqqqeqxbcdzf"
+        assert partial_ratio("abcdef", haystack) == pytest.approx(200 / 3)
+        assert_scores_match_oracles("abcdef", haystack)

@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 import requests
 
+from claimpipe import llm
 from claimpipe.evaluation import run_eval
 from claimpipe.llm import (
     BackendConfig,
@@ -67,7 +68,8 @@ def chat_server():
         yield server
     finally:
         server.shutdown()
-        thread.join()
+        thread.join(timeout=5)
+        server.server_close()
 
 
 def chat_payload(text: str, prompt_tokens: int = 7, completion_tokens: int = 3):
@@ -234,6 +236,43 @@ class TestScriptedClient:
         empty = scripted_client(tmp_path, [], cache=cache)
         # The entry is gone from the script, but the cache still serves it.
         assert empty.complete_prompt("p").text == "answer"
+
+    def test_one_prompt_hash_per_call_without_cache(self, tmp_path, monkeypatch):
+        client = scripted_client(tmp_path, [script_entry("p", "answer")])
+        hashed = []
+        real_sha256 = llm.prompt_sha256
+
+        def recording_sha256(prompt):
+            hashed.append(prompt)
+            return real_sha256(prompt)
+
+        monkeypatch.setattr(llm, "prompt_sha256", recording_sha256)
+
+        def no_cache_key(request):
+            raise AssertionError("cache key built without a cache")
+
+        monkeypatch.setattr(llm, "cache_key", no_cache_key)
+        response = client.complete_prompt("p")
+        assert hashed == ["p"]
+        assert response.prompt_sha256 == real_sha256("p")
+
+    def test_cache_hit_carries_prompt_hash(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        client = scripted_client(tmp_path, [script_entry("p", "answer")], cache=cache)
+        client.complete_prompt("p")
+        hit = client.complete_prompt("p")
+        assert hit.cached is True
+        assert hit.prompt_sha256 == prompt_sha256("p")
+        # The digest is not stored with the entry.
+        assert "prompt_sha256" not in json.loads(cache.entries()[0].read_text())
+
+    def test_given_script_is_not_reloaded(self, tmp_path):
+        script = Script([script_entry("p", "answer")])
+        backend = BackendConfig(
+            kind=BackendKind.SCRIPTED, script_path=str(tmp_path / "absent.json")
+        )
+        client = CompletionClient(backend, script=script)
+        assert client.complete_prompt("p").text == "answer"
 
 
 class TestHttpClient:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
@@ -15,7 +16,7 @@ from conftest import (
     write_regex_script,
 )
 from claimpipe.fuzzy import partial_ratio, preprocess
-from claimpipe.llm import CompletionClient, ScriptedMissError, prompt_sha256
+from claimpipe.llm import CompletionClient, Script, ScriptedMissError, prompt_sha256
 from claimpipe.pipeline import (
     Ablation,
     ClaimInstance,
@@ -26,6 +27,7 @@ from claimpipe.pipeline import (
     SubclaimResult,
     Verdict,
     aggregate,
+    open_verifier,
     parse_keyword_list,
     parse_subclaims,
     parse_verdict_answer,
@@ -493,3 +495,43 @@ class TestErrorAnnotation:
         with pytest.raises(PipelineError) as info:
             verifier.verify_claim(TINY)
         assert info.value.stage == "subclaim_verification"
+
+
+class TestOpenVerifier:
+    @pytest.fixture
+    def script_loads(self, monkeypatch):
+        loads = []
+        real_load = Script.load
+
+        def counting_load(cls, path):
+            loads.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(Script, "load", classmethod(counting_load))
+        return loads
+
+    def test_equal_scripted_backends_load_the_script_once(
+        self, tmp_path, prompt_library, script_loads
+    ):
+        config = scripted_config(write_regex_script(tmp_path / "script.json"))
+        with open_verifier(config, prompt_library) as verifier:
+            report = verifier.verify_claim(TINY)
+        assert len(script_loads) == 1
+        assert verifier.abstraction_client.script is verifier.verification_client.script
+        assert report.trace[0].prompt_sha256 == prompt_sha256(
+            prompt_library.render_keyword_extraction(TINY.claim)
+        )
+
+    def test_different_backends_load_their_own_scripts(
+        self, tmp_path, prompt_library, script_loads
+    ):
+        config = scripted_config(write_regex_script(tmp_path / "script.json"))
+        other = dataclasses.replace(config.verification_backend, model_id="other")
+        config = dataclasses.replace(config, verification_backend=other)
+        with open_verifier(config, prompt_library) as verifier:
+            pass
+        assert len(script_loads) == 2
+        assert (
+            verifier.abstraction_client.script
+            is not verifier.verification_client.script
+        )
