@@ -274,9 +274,15 @@ def run_eval(
                 position = pending.pop(future)
                 row, report = future.result()
                 rows[position] = row
-                # Traces land on disk as soon as each claim finishes.
-                if out_dir is not None and report is not None:
-                    write_json(_trace_path(out_dir, row.claim_id), report.to_dict())
+                # Traces land on disk as soon as each claim finishes. A failed
+                # claim has none, so an earlier run's trace must not stand in
+                # for it.
+                if out_dir is not None:
+                    path = _trace_path(out_dir, row.claim_id)
+                    if report is not None:
+                        write_json(path, report.to_dict())
+                    else:
+                        path.unlink(missing_ok=True)
         elapsed = time.monotonic() - started
     clients = (verifier.abstraction_client, verifier.verification_client)
 

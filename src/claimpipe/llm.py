@@ -252,7 +252,9 @@ class CompletionClient:
     """Caching client over one configured backend. Thread-safe.
 
     A scripted backend reads its script file, unless ``script``, already
-    loaded from that file, is given.
+    loaded from that file, is given. An HTTP backend keeps one kept-alive
+    ``requests.Session`` per calling thread, opened on that thread's first
+    call; ``close`` closes them all.
     """
 
     def __init__(
@@ -269,10 +271,39 @@ class CompletionClient:
             script = Script.load(backend.script_path)
         self.script = script
         self._lock = threading.Lock()
+        self._local = threading.local()
+        self._sessions: list[requests.Session] = []
         self.prompt_tokens_total = 0
         self.completion_tokens_total = 0
         self.request_count = 0
         self.cache_hits = 0
+
+    def close(self) -> None:
+        """Close every thread's session and its connections, once no call is
+        in flight. A later call opens a new session."""
+        with self._lock:
+            sessions, self._sessions = self._sessions, []
+            self._local = threading.local()
+        for session in sessions:
+            session.close()
+
+    def _session(self) -> requests.Session:
+        """This thread's session. On creation it reads the environment once,
+        as ``requests`` would on every call: netrc auth, and the proxies and
+        CA bundle for the endpoint; it then stops consulting it."""
+        session = getattr(self._local, "session", None)
+        if session is None:
+            url = self.backend.endpoint_url
+            session = requests.Session()
+            session.auth = requests.utils.get_netrc_auth(url)
+            settings = session.merge_environment_settings(url, {}, None, None, None)
+            session.proxies = settings["proxies"]
+            session.verify = settings["verify"]
+            session.trust_env = False
+            with self._lock:
+                self._sessions.append(session)
+            self._local.session = session
+        return session
 
     def request_for(self, prompt: str) -> CompletionRequest:
         return CompletionRequest(
@@ -338,6 +369,7 @@ class CompletionClient:
         api_key = os.environ.get(self.backend.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
+        session = self._session()
         last_error = "no attempt made"
         retry_after = None
         for attempt in range(self.backend.max_retries + 1):
@@ -353,7 +385,7 @@ class CompletionClient:
                 )
                 retry_after = None
             try:
-                resp = requests.post(
+                resp = session.post(
                     self.backend.endpoint_url,
                     json=body,
                     headers=headers,

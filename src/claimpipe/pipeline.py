@@ -14,7 +14,7 @@ trace order does not change.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -392,8 +392,9 @@ def aggregate(results: list[SubclaimResult] | tuple[SubclaimResult, ...]) -> Ver
 
 
 # A stage name and a function that runs one stage method and returns its
-# result with the trace entries it recorded.
-Task = tuple[str, Callable[[], tuple[object, list[TraceEntry]]]]
+# result with the trace entries it recorded, or that function's future when
+# it was submitted to the pool ahead of its phase.
+Task = tuple[str, Callable[[], tuple[object, list[TraceEntry]]] | Future]
 
 
 def _task(stage: str, method: Callable, *args: object) -> Task:
@@ -426,8 +427,9 @@ class ClaimVerifier:
     A claim runs in three phases: keyword extraction and selection; the
     summaries alongside the deconstruction; the subclaim verifications. With
     an ``executor``, the calls within a phase run on it concurrently (the
-    verifications stay one at a time under ``short_circuit``). Without one,
-    every call runs in order on the calling thread.
+    verifications stay one at a time under ``short_circuit``), and the
+    deconstruction, which needs only the claim, starts on it before keyword
+    extraction. Without one, every call runs in order on the calling thread.
     """
 
     def __init__(
@@ -537,11 +539,19 @@ class ClaimVerifier:
         stop skips the rest. Otherwise all tasks are submitted at once and
         this returns only when every one has finished: no call outlives the
         claim, and reading the outcomes in order raises the first failure in
-        task order, as the inline path does.
+        task order, as the inline path does. A task given as a future is
+        already running and is only waited for: resubmitting it would block
+        a pool thread on another pool task, which can deadlock the pool.
         """
         if self.executor is None or not concurrent or len(tasks) < 2:
-            return tasks
-        futures = [(stage, self.executor.submit(run)) for stage, run in tasks]
+            return [
+                (stage, run.result if isinstance(run, Future) else run)
+                for stage, run in tasks
+            ]
+        futures = [
+            (stage, run if isinstance(run, Future) else self.executor.submit(run))
+            for stage, run in tasks
+        ]
         wait([future for _, future in futures])
         return [(stage, future.result) for stage, future in futures]
 
@@ -552,11 +562,21 @@ class ClaimVerifier:
         trace: list[TraceEntry] = []
         keywords: list[str] = []
         keyword_sets: list[KeywordSet] = []
+        early: Future | None = None
         try:
             if not claim.strip():
                 raise PipelineError("claim text is empty")
             if not instance.evidence:
                 raise PipelineError("instance has no evidence")
+            if plan.deconstruct:
+                deconstruction = _task(
+                    "claim_deconstruction", self.deconstruct_claim, claim
+                )
+                if self.executor is not None:
+                    # It needs only the claim, so it runs beside keyword
+                    # extraction; the next phase waits for it in order.
+                    early = self.executor.submit(deconstruction[1])
+                    deconstruction = ("claim_deconstruction", early)
 
             tasks: list[Task] = []
             if plan.abstraction == "keyword":
@@ -599,9 +619,7 @@ class ClaimVerifier:
                     for index, piece in enumerate(instance.evidence)
                 ]
             if plan.deconstruct:
-                tasks.append(
-                    _task("claim_deconstruction", self.deconstruct_claim, claim)
-                )
+                tasks.append(deconstruction)
             outcomes = []
             for stage, outcome in self._phase(tasks):
                 outcomes.append(_record(outcome, trace))
@@ -640,6 +658,10 @@ class ClaimVerifier:
             raise
         except Exception as exc:
             raise PipelineError(str(exc), stage=stage, claim_id=instance.id) from exc
+        finally:
+            # However the claim ends, its early call has ended before it.
+            if early is not None:
+                wait([early])
 
         return VerificationReport(
             claim_id=instance.id,
@@ -666,7 +688,8 @@ def open_verifier(
     CALL_THREADS_PER_WORKER x ``workers`` threads for the calls inside
     claims, shut down on leaving the block. Scripted calls are microseconds
     of work under the interpreter lock, where handing them to threads only
-    costs time, so they run inline.
+    costs time, so they run inline. Both clients, and so their connections,
+    are closed on leaving the block, after the pool.
     """
     backends = (config.abstraction_backend, config.verification_backend)
     if None in backends:
@@ -692,3 +715,5 @@ def open_verifier(
     finally:
         if executor is not None:
             executor.shutdown()
+        abstraction_client.close()
+        verification_client.close()

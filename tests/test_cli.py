@@ -441,6 +441,32 @@ class TestEvalCommand:
         assert code == 2
         assert "endpoint" in capsys.readouterr().err
 
+    def test_failed_claim_leaves_no_stale_trace(self, six_bundle, tmp_path):
+        out_dir = tmp_path / "out"
+        cache_dir = tmp_path / "cache"
+        args = [
+            "eval",
+            "--data-path", str(six_bundle.dataset_path),
+            "--with-claim-context",
+            "--out", str(out_dir),
+            *scripted_args(six_bundle.script_path, cache_dir),
+        ]
+        assert main(args) == 0
+        stale = out_dir / "traces" / "spam-1.json"
+        assert stale.exists()
+        # Without its first entry, spam-1's keyword extraction has no answer.
+        entries = json.loads(six_bundle.script_path.read_text(encoding="utf-8"))
+        write_json(six_bundle.script_path, entries[1:])
+        for path in cache_dir.iterdir():
+            path.unlink()
+        assert main(args) == 0
+        rows = json.loads((out_dir / "report.json").read_text())["claims"]
+        assert [row["error"] for row in rows if row["claim_id"] == "spam-1"] == [
+            True
+        ]
+        assert not stale.exists()
+        assert len(list((out_dir / "traces").glob("*.json"))) == 5
+
     def test_per_claim_failures_contained(self, six_bundle, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text("[]", encoding="utf-8")

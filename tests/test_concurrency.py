@@ -2,7 +2,8 @@
 
 A loopback chat server answers every prompt of the six-claim run from its
 script after a fixed delay, and counts the requests it holds at once. A
-prompt listed in its ``failures`` gets HTTP 400 after the listed delay.
+prompt listed in its ``failures`` gets HTTP 400 after the listed delay; one
+listed in ``slow`` is answered after the listed delay.
 """
 from __future__ import annotations
 
@@ -32,7 +33,12 @@ from claimpipe.pipeline import (
 )
 
 DELAY_S = 0.05
-VERIFICATION_MARK = "(Yes or No)"
+# Text that marks each kind of prompt the server counts apart.
+MARKS = {
+    "extract": "such as important verbs",
+    "deconstruct": "Dissect a given claim",
+    "verify": "(Yes or No)",
+}
 
 
 class DelayedChatHandler(BaseHTTPRequestHandler):
@@ -42,13 +48,19 @@ class DelayedChatHandler(BaseHTTPRequestHandler):
         server = self.server
         length = int(self.headers.get("Content-Length", 0))
         prompt = json.loads(self.rfile.read(length))["messages"][0]["content"]
-        failure_delay = server.failures.get(prompt_sha256(prompt))
-        kinds = ["all"] + (["verify"] if VERIFICATION_MARK in prompt else [])
+        digest = prompt_sha256(prompt)
+        failure_delay = server.failures.get(digest)
+        kinds = ["all"] + [kind for kind, mark in MARKS.items() if mark in prompt]
         with server.lock:
             for kind in kinds:
                 server.inflight[kind] += 1
                 server.peak[kind] = max(server.peak[kind], server.inflight[kind])
-        time.sleep(DELAY_S if failure_delay is None else failure_delay)
+            if server.inflight["extract"] and server.inflight["deconstruct"]:
+                server.overlaps += 1
+        if failure_delay is None:
+            time.sleep(server.slow.get(digest, DELAY_S))
+        else:
+            time.sleep(failure_delay)
         # Released before the reply is sent: a client that has its answer
         # never sees its own request counted.
         with server.lock:
@@ -79,10 +91,14 @@ def chat(prompt_library):
     server = ThreadingHTTPServer(("127.0.0.1", 0), DelayedChatHandler)
     server.daemon_threads = True
     server.lock = threading.Lock()
-    server.inflight = {"all": 0, "verify": 0}
-    server.peak = {"all": 0, "verify": 0}
+    server.inflight = {kind: 0 for kind in ["all", *MARKS]}
+    server.peak = dict(server.inflight)
+    # Requests that arrived while an extraction and a deconstruction were
+    # both in flight.
+    server.overlaps = 0
     server.script = Script(six_claim_script_entries(prompt_library))
     server.failures = {}
+    server.slow = {}
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
@@ -221,3 +237,67 @@ class TestInClaimConcurrency:
         row = report.rows[position]
         assert row.error is True
         assert row.error_message == str(info.value)
+
+
+class TestEarlyDeconstruction:
+    def test_deconstruction_in_flight_with_extraction(self, chat, prompt_library):
+        report = run_eval(
+            fixture_instances(), http_config(chat), prompt_library, workers=1
+        )
+        assert report.counts.error_count == 0
+        assert chat.overlaps > 0
+        assert chat.peak["all"] <= 5
+
+    # (failing prompt, its failure delay, slow prompt, the stage named). The
+    # first case fails extraction while the deconstruction is still running;
+    # in the second the deconstruction fails first, but the summary before
+    # it in canonical order fails too, later.
+    @pytest.mark.parametrize(
+        "failing, slow, stage",
+        [
+            (("extract", 0.0), "deconstruct", "keyword_extraction"),
+            (("summary", 4 * DELAY_S), None, "evidence_summarization"),
+        ],
+        ids=["extraction-fails", "summary-fails-after-deconstruction"],
+    )
+    def test_first_failure_in_canonical_order_wins(
+        self, chat, prompt_library, failing, slow, stage
+    ):
+        position = len(fixture_six.CLAIMS) - 1
+        case = fixture_six.CLAIMS[position]
+        prompts = {
+            "extract": prompt_library.render_keyword_extraction(case["claim"]),
+            "summary": prompt_library.render_evidence_summarization(
+                case["evidence"][0][1], case["selected"][0]
+            ),
+            "deconstruct": prompt_library.render_claim_deconstruction(
+                case["claim"]
+            ),
+        }
+        name, delay = failing
+        chat.failures = {prompt_sha256(prompts[name]): delay}
+        if slow is None:
+            chat.failures[prompt_sha256(prompts["deconstruct"])] = 0.0
+        else:
+            chat.slow = {prompt_sha256(prompts[slow]): 4 * DELAY_S}
+        instances = fixture_instances()
+        config = http_config(chat)
+
+        report = run_eval(instances, config, prompt_library)
+        row = report.rows[position]
+        assert report.counts.error_count == 1
+        assert row.error is True
+
+        with open_verifier(config, prompt_library) as verifier:
+            with pytest.raises(PipelineError) as info:
+                verifier.verify_claim(instances[position])
+            assert chat.inflight["all"] == 0
+        assert info.value.stage == stage
+        assert row.error_message == str(info.value)
+
+        client = CompletionClient(config.verification_backend)
+        inline = ClaimVerifier(config, prompt_library, client, client)
+        with pytest.raises(PipelineError) as inline_info:
+            inline.verify_claim(instances[position])
+        assert str(inline_info.value) == str(info.value)
+        client.close()

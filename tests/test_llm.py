@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from claimpipe import llm
 from claimpipe.evaluation import run_eval
@@ -26,7 +26,13 @@ from claimpipe.llm import (
     retry_delay,
     script_entry,
 )
-from claimpipe.pipeline import ClaimInstance, EvidencePiece, PipelineConfig, Verdict
+from claimpipe.pipeline import (
+    ClaimInstance,
+    EvidencePiece,
+    PipelineConfig,
+    Verdict,
+    open_verifier,
+)
 
 
 class ChatHandler(BaseHTTPRequestHandler):
@@ -70,6 +76,84 @@ def chat_server():
         server.shutdown()
         thread.join(timeout=5)
         server.server_close()
+
+
+class KeepAliveHandler(BaseHTTPRequestHandler):
+    """Answers every POST with ``server.text`` over HTTP/1.1, keeping the
+    connection open. Counts connections, open connections and requests, and
+    records request paths. Request n stalls for ``server.stalls[n]`` seconds,
+    when given, and is then dropped unanswered. A connection idle for
+    ``server.idle_timeout`` seconds is closed."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        self.timeout = self.server.idle_timeout
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+            self.server.open += 1
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            with self.server.lock:
+                self.server.open -= 1
+
+    def do_POST(self):
+        server = self.server
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with server.lock:
+            index = server.requests
+            server.requests += 1
+            server.paths.append(self.path)
+        if index < len(server.stalls) and server.stalls[index]:
+            time.sleep(server.stalls[index])
+            self.close_connection = True
+            return
+        data = json.dumps(chat_payload(server.text)).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def keepalive_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveHandler)
+    server.daemon_threads = True
+    server.lock = threading.Lock()
+    server.connections = server.open = server.requests = 0
+    server.paths = []
+    server.stalls = []
+    server.idle_timeout = None
+    server.text = "ok"
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+
+
+def settles(predicate, timeout: float = 5.0) -> bool:
+    """Whether ``predicate()`` holds within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 def chat_payload(text: str, prompt_tokens: int = 7, completion_tokens: int = 3):
@@ -351,27 +435,20 @@ class TestHttpClient:
         with pytest.raises(MalformedResponseError, match="not a string"):
             client.complete_prompt("x")
 
-    def test_timeout_retried_then_succeeds(self, chat_server, monkeypatch):
-        calls = {"n": 0}
-        real_post = requests.post
+    def test_timeout_retried_then_succeeds(self, keepalive_server):
+        # The first request outlasts the client's timeout and is never
+        # answered; the threaded server answers the retry at once.
+        keepalive_server.stalls = [0.5]
+        client = CompletionClient(
+            http_backend(keepalive_server, request_timeout=0.2)
+        )
+        try:
+            assert client.complete_prompt("x").text == "ok"
+        finally:
+            client.close()
+        assert keepalive_server.requests == 2
 
-        def flaky_post(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise requests.Timeout("simulated")
-            return real_post(*args, **kwargs)
-
-        monkeypatch.setattr(requests, "post", flaky_post)
-        chat_server.responses = [(200, chat_payload("ok"))]
-        client = CompletionClient(http_backend(chat_server))
-        assert client.complete_prompt("x").text == "ok"
-        assert calls["n"] == 2
-
-    def test_connection_error_exhausts_budget(self, monkeypatch):
-        def dead_post(*args, **kwargs):
-            raise requests.ConnectionError("refused")
-
-        monkeypatch.setattr(requests, "post", dead_post)
+    def test_connection_error_exhausts_budget(self):
         backend = BackendConfig(
             kind=BackendKind.HTTP_CHAT,
             endpoint_url="http://127.0.0.1:1/v1",
@@ -400,6 +477,112 @@ class TestHttpClient:
         assert again.text == "cached answer"
         assert again.cached is True
         assert len(chat_server.requests_seen) == 1
+
+
+class TestKeepAlive:
+    def test_sequential_calls_share_one_connection(self, keepalive_server):
+        client = CompletionClient(http_backend(keepalive_server))
+        try:
+            for n in range(5):
+                assert client.complete_prompt(f"prompt {n}").text == "ok"
+        finally:
+            client.close()
+        assert keepalive_server.requests == 5
+        assert keepalive_server.connections == 1
+        assert settles(lambda: keepalive_server.open == 0)
+
+    def test_each_thread_keeps_its_own_connection(self, keepalive_server):
+        threads, calls = 8, 3
+        client = CompletionClient(http_backend(keepalive_server))
+        errors = []
+
+        def caller(n):
+            try:
+                for k in range(calls):
+                    assert client.complete_prompt(f"{n}/{k}").text == "ok"
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=caller, args=(n,)) for n in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            client.close()
+        assert errors == []
+        assert client.request_count == keepalive_server.requests == threads * calls
+        assert keepalive_server.connections == threads
+        assert settles(lambda: keepalive_server.open == 0)
+
+    def test_idle_connection_closed_by_server_costs_no_attempt(
+        self, keepalive_server
+    ):
+        keepalive_server.idle_timeout = 0.01
+        # No retries: a call on the dropped connection would fail outright.
+        client = CompletionClient(http_backend(keepalive_server, max_retries=0))
+        try:
+            assert client.complete_prompt("first").text == "ok"
+            time.sleep(0.05)
+            assert client.complete_prompt("second").text == "ok"
+        finally:
+            client.close()
+        assert keepalive_server.requests == 2
+        assert keepalive_server.connections == 2
+
+    def test_proxy_from_environment_is_honoured(
+        self, keepalive_server, monkeypatch
+    ):
+        url = "http://claimpipe.invalid/v1/chat"
+        client = CompletionClient(http_backend(keepalive_server, endpoint_url=url))
+        # Set after construction: the environment is read at the first call.
+        for name in ("NO_PROXY", "no_proxy", "http_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv(
+            "HTTP_PROXY", f"http://127.0.0.1:{keepalive_server.server_address[1]}"
+        )
+        try:
+            assert client.complete_prompt("x").text == "ok"
+        finally:
+            client.close()
+        assert keepalive_server.paths == [url]
+
+    def test_connections_closed_when_the_run_ends(
+        self, keepalive_server, prompt_library
+    ):
+        # One answer serves every stage, as in TestTokenTotalsIgnoreCache.
+        keepalive_server.text = "alpha, beta."
+        backend = http_backend(keepalive_server)
+        config = PipelineConfig(
+            abstraction_backend=backend, verification_backend=backend
+        )
+        instances = [
+            ClaimInstance(
+                id=f"c{n}",
+                claim=f"alpha beta gamma {n}.",
+                evidence=(EvidencePiece(text="alpha beta delta."),),
+                gold_label=Verdict.TRUE,
+            )
+            for n in range(4)
+        ]
+        report = run_eval(instances, config, prompt_library, workers=2)
+        assert report.counts.error_count == 0
+        assert keepalive_server.connections < keepalive_server.requests
+        assert settles(lambda: keepalive_server.open == 0)
+
+        with open_verifier(config, prompt_library) as verifier:
+            verifier.verify_claim(instances[0])
+            assert keepalive_server.open > 0
+        # Closed by leaving the block, while the verifier is still referenced.
+        assert settles(lambda: keepalive_server.open == 0)
+        assert verifier.abstraction_client.request_count > 0
 
 
 class TestRetryDelay:
