@@ -212,6 +212,19 @@ def _merge_options(args: argparse.Namespace) -> dict:
         # must still override the config file.
         if value is not None:
             effective[key] = value
+    # A numeric option is read as the type of its default, in one place, so a
+    # config file value of the wrong type is a ConfigError naming its key.
+    for key, default in DEFAULTS.items():
+        kind = type(default)
+        if kind not in (int, float):
+            continue
+        try:
+            effective[key] = kind(effective[key])
+        except (TypeError, ValueError) as exc:
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(
+                f"{key} must be {expected}, got {json.dumps(effective[key])}"
+            ) from exc
     return effective
 
 
@@ -236,11 +249,11 @@ def _build_backend(options: dict, model_id: str) -> BackendConfig:
             api_key_env=options["api_key_env"],
             script_path=options["script"],
             model_id=model_id,
-            temperature=float(options["temperature"]),
-            max_tokens=int(options["max_tokens"]),
-            request_timeout=float(options["request_timeout"]),
-            max_retries=int(options["max_retries"]),
-            backoff_base=float(options["backoff_base"]),
+            temperature=options["temperature"],
+            max_tokens=options["max_tokens"],
+            request_timeout=options["request_timeout"],
+            max_retries=options["max_retries"],
+            backoff_base=options["backoff_base"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -251,9 +264,9 @@ def _build_pipeline_config(options: dict, ablation: Ablation) -> PipelineConfig:
     abstraction_model = options["abstraction_model"] or options["model"]
     abstraction = _build_backend(options, abstraction_model)
     return PipelineConfig(
-        t1=float(options["t1"]),
-        t2=float(options["t2"]),
-        min_keywords_for_summary=int(options["min_keywords"]),
+        t1=options["t1"],
+        t2=options["t2"],
+        min_keywords_for_summary=options["min_keywords"],
         with_claim_context=_resolve_claim_context(options),
         ablation=ablation,
         short_circuit=bool(options["short_circuit"]),
@@ -307,7 +320,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         config,
         prompts,
         cache=cache,
-        workers=int(options["workers"]),
+        workers=options["workers"],
         trace_dir=trace_dir,
     )
     table = report.to_table()
@@ -355,7 +368,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         prompts,
         variants,
         cache=cache,
-        workers=int(options["workers"]),
+        workers=options["workers"],
         out_dir=options["out"],
     )
     table = comparison_table(reports)

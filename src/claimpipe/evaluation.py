@@ -27,6 +27,7 @@ from .pipeline import (
     Verdict,
     VerificationReport,
     open_verifier,
+    plain,
 )
 from .prompts import PromptLibrary
 
@@ -46,12 +47,20 @@ class ClassMetrics:
 class ConfusionCounts:
     tp_true: int = 0
     fp_true: int = 0
-    fn_true: int = 0
     tp_false: int = 0
     fp_false: int = 0
-    fn_false: int = 0
     error_count: int = 0
     abstain_count: int = 0
+
+    # With two classes, a claim missed in one class is a false positive of
+    # the other.
+    @property
+    def fn_true(self) -> int:
+        return self.fp_false
+
+    @property
+    def fn_false(self) -> int:
+        return self.fp_true
 
 
 def _prf(tp: int, fp: int, fn: int) -> ClassMetrics:
@@ -72,12 +81,10 @@ def confusion(
             counts.tp_true += 1
         if predicted is Verdict.TRUE and gold is Verdict.FALSE:
             counts.fp_true += 1
-            counts.fn_false += 1
         if predicted is Verdict.FALSE and gold is Verdict.FALSE:
             counts.tp_false += 1
         if predicted is Verdict.FALSE and gold is Verdict.TRUE:
             counts.fp_false += 1
-            counts.fn_true += 1
     return counts
 
 
@@ -112,14 +119,7 @@ class ClaimRow:
     error_message: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "gold": self.gold.value,
-            "predicted": self.predicted.value,
-            "abstained_subclaims": self.abstained_subclaims,
-            "error": self.error,
-            "error_message": self.error_message,
-        }
+        return plain(self)
 
 
 @dataclass
@@ -141,14 +141,7 @@ class EvalReport:
             "config": self.config,
             "metrics": {
                 "macro_f1": self.macro_f1,
-                "per_class": {
-                    name: {
-                        "precision": m.precision,
-                        "recall": m.recall,
-                        "f1": m.f1,
-                    }
-                    for name, m in self.metrics.items()
-                },
+                "per_class": {name: plain(m) for name, m in self.metrics.items()},
             },
             "counts": {
                 "claims": len(self.rows),
@@ -286,19 +279,17 @@ def run_eval(
         elapsed = time.monotonic() - started
     clients = (verifier.abstraction_client, verifier.verification_client)
 
-    final_rows = [row for row in rows if row is not None]
-    counts = confusion(
-        [row.predicted for row in final_rows], [row.gold for row in final_rows]
-    )
-    counts.error_count = sum(1 for row in final_rows if row.error)
-    counts.abstain_count = sum(row.abstained_subclaims for row in final_rows)
+    # Every position is filled: a claim whose future raised ended the run.
+    counts = confusion([row.predicted for row in rows], [row.gold for row in rows])
+    counts.error_count = sum(1 for row in rows if row.error)
+    counts.abstain_count = sum(row.abstained_subclaims for row in rows)
     metrics = class_metrics(counts)
     return EvalReport(
         config=config.to_dict(),
         metrics=metrics,
         macro_f1=_macro_f1_of(metrics),
         counts=counts,
-        rows=final_rows,
+        rows=rows,
         prompt_tokens=sum(client.prompt_tokens_total for client in clients),
         completion_tokens=sum(client.completion_tokens_total for client in clients),
         wall_clock_seconds=elapsed,

@@ -30,10 +30,16 @@ class NormalizedText:
 
     original: str
     normalized: str
-    tokens: tuple[str, ...]
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return tuple(self.normalized.split())
 
 
-@lru_cache(maxsize=65536)
+# Keywords recur across a claim's pieces and each ablation variant re-reads
+# every piece, but most pieces are distinct: an entry costs about 2.4 bytes
+# per character, so the bound holds about 7 MiB of 750-character pieces.
+@lru_cache(maxsize=4096)
 def preprocess(text: str) -> NormalizedText:
     """Lowercase, map every non-alphanumeric char to a space, collapse runs.
 
@@ -44,8 +50,7 @@ def preprocess(text: str) -> NormalizedText:
     # Lowercasing can introduce combining marks (non-alphanumeric); they
     # must be spaced out like any other punctuation, so lowercase first.
     spaced = "".join(ch if ch.isalnum() else " " for ch in lowered)
-    tokens = tuple(spaced.split())
-    return NormalizedText(original=text, normalized=" ".join(tokens), tokens=tokens)
+    return NormalizedText(original=text, normalized=" ".join(spaced.split()))
 
 
 def _char_masks(text: str) -> dict[str, int]:

@@ -149,14 +149,18 @@ class ResponseCache:
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
+            text = data["text"]
+            if not isinstance(text, str):
+                return None
             return CompletionResponse(
-                text=data["text"],
+                text=text,
                 prompt_tokens=int(data.get("prompt_tokens", 0)),
                 completion_tokens=int(data.get("completion_tokens", 0)),
                 cached=True,
             )
         except (OSError, ValueError, KeyError, TypeError):
-            # Unreadable or truncated entries count as misses.
+            # Unreadable, truncated or corrupt entries count as misses, so
+            # the next put replaces them.
             return None
 
     def put(self, key: str, response: CompletionResponse) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import PurePath
 from typing import Callable, Iterator
@@ -36,6 +36,30 @@ SCHEMA_VERSION = 1
 # also makes calls itself, so at most (1 + CALL_THREADS_PER_WORKER) x workers
 # requests are in flight.
 CALL_THREADS_PER_WORKER = 4
+
+
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def plain(value: object) -> object:
+    """``value`` as JSON-ready data, the one converter for report output.
+
+    Scalars pass through, tuples and lists become lists, an Enum becomes its
+    value and a path its string. Any other value must be a dataclass, which
+    becomes a dict of its converted fields in declaration order. That order
+    comes from ``vars``, so report dataclasses set no attribute outside their
+    fields and use neither ``slots`` nor ``cached_property``.
+    """
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is tuple or kind is list:
+        return [plain(item) for item in value]
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, PurePath):
+        return str(value)
+    return {name: plain(field) for name, field in vars(value).items()}
 
 
 class Verdict(Enum):
@@ -167,17 +191,7 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         """Every field, backends included, in declaration order."""
-
-        def plain(value: object) -> object:
-            if isinstance(value, Enum):
-                return value.value
-            if isinstance(value, PurePath):
-                return str(value)
-            return value
-
-        return asdict(
-            self, dict_factory=lambda items: {name: plain(v) for name, v in items}
-        )
+        return plain(self)
 
 
 @dataclass(frozen=True)
@@ -221,52 +235,14 @@ class VerificationReport:
         return sum(1 for r in self.results if r.abstained)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "claim_id": self.claim_id,
-            "keywords": list(self.keywords),
-            "keyword_sets": [
-                {
-                    "evidence_index": ks.evidence_index,
-                    "selected": [
-                        {
-                            "keyword": s.keyword,
-                            "partial_score": s.partial_score,
-                            "token_set_score": s.token_set_score,
-                        }
-                        for s in ks.selected
-                    ],
-                }
-                for ks in self.keyword_sets
-            ],
-            "abstracted": [
-                {
-                    "source_index": a.source_index,
-                    "text": a.text,
-                    "keywords": list(a.keywords),
-                }
-                for a in self.abstracted
-            ],
-            "subclaims": [{"index": s.index, "text": s.text} for s in self.subclaims],
-            "results": [
-                {
-                    "subclaim_index": r.subclaim.index,
-                    "raw_answer": r.raw_answer,
-                    "verdict": r.verdict.value,
-                    "abstained": r.abstained,
-                }
-                for r in self.results
-            ],
-            "final": self.final.value,
-            "trace": [
-                {
-                    "stage": t.stage,
-                    "prompt_sha256": t.prompt_sha256,
-                    "response": t.response,
-                }
-                for t in self.trace
-            ],
-        }
+        """Every field in declaration order; each result names its subclaim
+        by index alone, ahead of its own fields."""
+        out = plain(self)
+        out["results"] = [
+            {"subclaim_index": result.pop("subclaim")["index"], **result}
+            for result in out["results"]
+        ]
+        return {"schema_version": SCHEMA_VERSION, **out}
 
 
 def parse_keyword_list(completion: str) -> list[str]:

@@ -617,6 +617,34 @@ class TestExitCodes:
         assert flag.lstrip("-").replace("-", "_") in err
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize(
+        "options, key",
+        [
+            ({"t1": None}, "t1"),
+            ({"workers": [2]}, "workers"),
+            ({"temperature": "hot"}, "temperature"),
+            ({"max_tokens": "many"}, "max_tokens"),
+            ({"max_retries": {}}, "max_retries"),
+        ],
+    )
+    def test_wrongly_typed_config_values_are_config_errors(
+        self, six_bundle, tmp_path, capsys, options, key
+    ):
+        config = write_json(tmp_path / "c.json", options)
+        code = main(
+            [
+                "eval",
+                "--data-path", str(six_bundle.dataset_path),
+                "--config", str(config),
+                *scripted_args(six_bundle.script_path, tmp_path / "cache"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert key in err
+        assert not (tmp_path / "cache").exists()
+
     def test_keyboard_interrupt_maps_to_130(self, monkeypatch, capsys):
         def raise_interrupt(args):
             raise KeyboardInterrupt()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -138,6 +140,24 @@ class TestPreprocess:
     @given(TEXT)
     def test_matches_oracle(self, text):
         assert preprocess(text).normalized == oracles.preprocess_oracle(text)
+
+    def test_cache_memory_is_bounded(self):
+        """Many distinct evidence-sized texts keep the cache near its bound
+        (about 7 MiB at 750 characters), not growing with the dataset."""
+        pieces = (
+            f"Piece {i}: " + "The Hawaiian Spam musubi, a popular snack. " * 17
+            for i in range(5000)
+        )
+        preprocess.cache_clear()
+        tracemalloc.start()
+        try:
+            for piece in pieces:
+                preprocess(piece)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            preprocess.cache_clear()
+        assert held < 12 * 2**20
 
 
 class TestProperties:

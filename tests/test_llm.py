@@ -321,6 +321,17 @@ class TestScriptedClient:
         # The entry is gone from the script, but the cache still serves it.
         assert empty.complete_prompt("p").text == "answer"
 
+    @pytest.mark.parametrize("text", [None, 5, ["answer"]])
+    def test_entry_without_string_text_is_a_miss_and_rewritten(self, tmp_path, text):
+        cache = ResponseCache(tmp_path / "cache")
+        client = scripted_client(tmp_path, [script_entry("p", "answer")], cache=cache)
+        client.complete_prompt("p")
+        [entry] = cache.entries()
+        entry.write_text(json.dumps({"text": text}), encoding="utf-8")
+        again = client.complete_prompt("p")
+        assert (again.text, again.cached) == ("answer", False)
+        assert client.complete_prompt("p").cached is True
+
     def test_one_prompt_hash_per_call_without_cache(self, tmp_path, monkeypatch):
         client = scripted_client(tmp_path, [script_entry("p", "answer")])
         hashed = []
