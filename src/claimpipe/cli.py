@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .data import (
@@ -44,110 +45,73 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-DEFAULTS: dict = {
-    "dataset": "generic",
-    "data_path": None,
-    "hops": None,
-    "backend": "http",
-    "endpoint": "",
-    "model": "default",
-    "abstraction_model": None,
-    "api_key_env": "LLM_API_KEY",
-    "script": None,
-    "t1": 60.0,
-    "t2": 60.0,
-    "min_keywords": 2,
-    "with_claim_context": None,
-    "variants": None,
-    "workers": min(8, os.cpu_count() or 1),
-    "cache_dir": ".claimpipe-cache",
-    "prompts_dir": None,
-    "out": None,
-    "temperature": 0.05,
-    "max_tokens": 512,
-    "short_circuit": False,
-    "claim": None,
-    "evidence": None,
-    "clear": False,
-    # Config-file-only tuning knobs (no dedicated flags).
-    "max_retries": 3,
-    "backoff_base": 1.0,
-    "request_timeout": 60.0,
+_RUN = ("verify", "eval", "ablate")
+_DATA = ("eval", "ablate")
+_COMMANDS = {
+    "verify": "verify one claim against evidence",
+    "eval": "evaluate a dataset",
+    "ablate": "run pipeline variants side by side",
+    "cache": "inspect or clear the completion cache",
 }
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with option defaults")
-    parser.add_argument(
-        "--backend", choices=["http", "scripted"], help="completion backend kind"
-    )
-    parser.add_argument("--endpoint", help="chat completions endpoint URL")
-    parser.add_argument("--model", help="model id for verification calls")
-    parser.add_argument(
-        "--abstraction-model",
-        dest="abstraction_model",
-        help="model id for keyword extraction and summarization (defaults to --model)",
-    )
-    parser.add_argument(
-        "--api-key-env",
-        dest="api_key_env",
-        help="environment variable holding the API key (default LLM_API_KEY)",
-    )
-    parser.add_argument("--script", help="script file for the scripted backend")
-    parser.add_argument("--t1", type=float, help="partial-ratio threshold (default 60)")
-    parser.add_argument(
-        "--t2", type=float, help="token-set-ratio threshold (default 60)"
-    )
-    parser.add_argument(
-        "--min-keywords",
-        dest="min_keywords",
-        type=int,
-        help="minimum selected keywords required to summarize a piece (default 2)",
-    )
-    parser.add_argument(
-        "--with-claim-context",
-        dest="with_claim_context",
-        action=argparse.BooleanOptionalAction,
-        help="prefix subclaim questions with the full claim "
-        "(default: on for hover, off otherwise)",
-    )
-    parser.add_argument("--workers", type=int, help="parallel claims (default cpu-bounded)")
-    parser.add_argument(
-        "--cache-dir",
-        dest="cache_dir",
-        help="completion cache directory (default .claimpipe-cache)",
-    )
-    parser.add_argument(
-        "--prompts-dir",
-        dest="prompts_dir",
-        help="directory with prompt templates (default: packaged prompts)",
-    )
-    parser.add_argument("--out", help="directory for reports and traces")
-    parser.add_argument(
-        "--temperature", type=float, help="sampling temperature (default 0.05)"
-    )
-    parser.add_argument(
-        "--max-tokens",
-        dest="max_tokens",
-        type=int,
-        help="completion token limit (default 512)",
-    )
-    parser.add_argument(
-        "--short-circuit",
-        dest="short_circuit",
-        action=argparse.BooleanOptionalAction,
-        help="stop verifying subclaims after the first False",
-    )
+@dataclass(frozen=True)
+class Option:
+    """One run setting: its default, the type a config file must give it,
+    the subcommands that take it as a flag, and the values it may take."""
+
+    default: object
+    kind: type
+    help: str
+    commands: tuple[str, ...] = _RUN
+    choices: tuple | None = None
 
 
-def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dataset", choices=["hover", "feverous", "generic"], help="dataset flavor"
-    )
-    parser.add_argument("--data-path", dest="data_path", help="dataset file")
-    parser.add_argument(
-        "--hops", type=int, choices=[2, 3, 4], help="restrict hover claims by hop count"
-    )
+# Every option, in ``--help`` order. A config file may set any of them; those
+# with no subcommands are config-file-only tuning knobs.
+OPTIONS: dict[str, Option] = {
+    "claim": Option(None, str, "claim text", ("verify",)),
+    "evidence": Option(None, str, "evidence file (JSON array or JSONL)", ("verify",)),
+    "variants": Option(None, str, "comma-separated variant names (default: all)",
+                       ("ablate",)),
+    "dataset": Option("generic", str, "dataset flavor", _DATA,
+                      ("hover", "feverous", "generic")),
+    "data_path": Option(None, str, "dataset file", _DATA),
+    "hops": Option(None, int, "restrict hover claims by hop count", _DATA, (2, 3, 4)),
+    "backend": Option("http", str, "completion backend kind",
+                      choices=tuple(kind.value for kind in BackendKind)),
+    "endpoint": Option("", str, "chat completions endpoint URL"),
+    "model": Option(BackendConfig.model_id, str, "model id for verification calls"),
+    "abstraction_model": Option(None, str, "model id for keyword extraction and "
+                                "summarization (defaults to --model)"),
+    "api_key_env": Option(BackendConfig.api_key_env, str,
+                          "environment variable holding the API key"),
+    "script": Option(None, str, "script file for the scripted backend"),
+    "t1": Option(PipelineConfig.t1, float, "partial-ratio threshold"),
+    "t2": Option(PipelineConfig.t2, float, "token-set-ratio threshold"),
+    "min_keywords": Option(PipelineConfig.min_keywords_for_summary, int,
+                           "minimum selected keywords required to summarize a piece"),
+    "with_claim_context": Option(None, bool, "prefix subclaim questions with the full "
+                                 "claim (default: on for hover, off otherwise)"),
+    "workers": Option(min(8, os.cpu_count() or 1), int, "parallel claims"),
+    "cache_dir": Option(".claimpipe-cache", str, "completion cache directory",
+                        (*_RUN, "cache")),
+    "prompts_dir": Option(None, str, "directory with prompt templates "
+                          "(default: packaged prompts)"),
+    "out": Option(None, str, "directory for reports and traces"),
+    "temperature": Option(BackendConfig.temperature, float, "sampling temperature"),
+    "max_tokens": Option(BackendConfig.max_tokens, int, "completion token limit"),
+    "short_circuit": Option(PipelineConfig.short_circuit, bool,
+                            "stop verifying subclaims after the first False"),
+    "clear": Option(False, bool, "remove cached entries", ("cache",)),
+    "max_retries": Option(BackendConfig.max_retries, int,
+                          "retries after a failed call", ()),
+    "backoff_base": Option(BackendConfig.backoff_base, float,
+                           "seconds before the first retry, doubled per retry", ()),
+    "request_timeout": Option(BackendConfig.request_timeout, float,
+                              "seconds per HTTP request", ()),
+}
+DEFAULTS = {key: option.default for key, option in OPTIONS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,35 +121,46 @@ def build_parser() -> argparse.ArgumentParser:
         "deconstruction for claim verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="verify one claim against evidence")
-    p_verify.add_argument("--claim", help="claim text", required=False)
-    p_verify.add_argument(
-        "--evidence", help="evidence file (JSON array or JSONL)", required=False
-    )
-    _add_common_options(p_verify)
-
-    p_eval = sub.add_parser("eval", help="evaluate a dataset")
-    _add_dataset_options(p_eval)
-    _add_common_options(p_eval)
-
-    p_ablate = sub.add_parser("ablate", help="run pipeline variants side by side")
-    p_ablate.add_argument(
-        "--variants",
-        help="comma-separated variant names (default: all)",
-    )
-    _add_dataset_options(p_ablate)
-    _add_common_options(p_ablate)
-
-    p_cache = sub.add_parser("cache", help="inspect or clear the completion cache")
-    p_cache.add_argument(
-        "--cache-dir",
-        dest="cache_dir",
-        help="completion cache directory (default .claimpipe-cache)",
-    )
-    p_cache.add_argument("--clear", action="store_true", help="remove cached entries")
-
+    commands = {name: sub.add_parser(name, help=h) for name, h in _COMMANDS.items()}
+    for name in _RUN:
+        commands[name].add_argument("--config", help="JSON file with option defaults")
+    for key, option in OPTIONS.items():
+        help_text = option.help
+        if option.default not in (None, ""):
+            help_text += f" (default {option.default})"
+        # A flag's parsed default is None, meaning "not given", so that the
+        # config file and then the table's default apply.
+        if option.kind is bool:
+            kind = {"action": argparse.BooleanOptionalAction}
+        else:
+            kind = {"type": option.kind, "choices": option.choices}
+        flag = "--" + key.replace("_", "-")
+        for name in option.commands:
+            commands[name].add_argument(flag, dest=key, help=help_text, **kind)
     return parser
+
+
+_EXPECTED = {
+    float: "a number", int: "an integer", bool: "true or false", str: "a string"
+}
+
+
+def _checked(key: str, value: object) -> object:
+    """A config-file value, checked against its option: an int is widened where
+    a float is expected, and null is taken only where the default is null."""
+    option = OPTIONS[key]
+    if value is None and option.default is None:
+        return None
+    if option.kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is option.kind and (
+        option.choices is None or value in option.choices
+    ):
+        return value
+    expected = _EXPECTED[option.kind]
+    if option.choices is not None:
+        expected = f"one of {json.dumps(option.choices)}"
+    raise ConfigError(f"{key} must be {expected}, got {json.dumps(value)}")
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
@@ -202,35 +177,23 @@ def _merge_options(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_options, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_options) - set(DEFAULTS)
+        unknown = set(file_options) - set(OPTIONS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        effective.update(file_options)
-    for key in DEFAULTS:
+        for key, value in file_options.items():
+            effective[key] = _checked(key, value)
+    for key in OPTIONS:
         value = getattr(args, key, None)
         # None means "flag not given"; explicit False (e.g. --no-short-circuit)
         # must still override the config file.
         if value is not None:
             effective[key] = value
-    # A numeric option is read as the type of its default, in one place, so a
-    # config file value of the wrong type is a ConfigError naming its key.
-    for key, default in DEFAULTS.items():
-        kind = type(default)
-        if kind not in (int, float):
-            continue
-        try:
-            effective[key] = kind(effective[key])
-        except (TypeError, ValueError) as exc:
-            expected = "an integer" if kind is int else "a number"
-            raise ConfigError(
-                f"{key} must be {expected}, got {json.dumps(effective[key])}"
-            ) from exc
     return effective
 
 
 def _resolve_claim_context(options: dict) -> bool:
     if options["with_claim_context"] is not None:
-        return bool(options["with_claim_context"])
+        return options["with_claim_context"]
     return options.get("dataset") == "hover"
 
 
@@ -269,7 +232,7 @@ def _build_pipeline_config(options: dict, ablation: Ablation) -> PipelineConfig:
         min_keywords_for_summary=options["min_keywords"],
         with_claim_context=_resolve_claim_context(options),
         ablation=ablation,
-        short_circuit=bool(options["short_circuit"]),
+        short_circuit=options["short_circuit"],
         abstraction_backend=abstraction,
         verification_backend=verification,
     )
@@ -279,6 +242,8 @@ def _load_instances(options: dict) -> list[ClaimInstance]:
     if not options["data_path"]:
         raise ConfigError("--data-path is required")
     dataset = options["dataset"]
+    if options["hops"] is not None and dataset != "hover":
+        raise ConfigError("hops filters hover claims only: use --dataset hover")
     if dataset == "hover":
         return load_hover(options["data_path"], hops=options["hops"])
     if dataset == "feverous":

@@ -33,6 +33,9 @@ class PromptTask(str, Enum):
     SUBCLAIM_VERIFICATION = "subclaim_verification"
 
 
+_TASK_NAMES = frozenset(task.value for task in PromptTask)
+
+
 @dataclass(frozen=True)
 class FewShotExample:
     """One worked example: labeled input fields plus the expected output."""
@@ -85,18 +88,39 @@ class PromptTemplate:
         return _SLOT_RE.sub(lambda m: filled[m.group(1)], self.body)
 
 
+def _is_example(record: object) -> bool:
+    return (
+        isinstance(record, dict)
+        and record.keys() == {"input_fields", "output"}
+        and isinstance(record["output"], str)
+        and isinstance(record["input_fields"], dict)
+        and all(isinstance(value, str) for value in record["input_fields"].values())
+    )
+
+
 def _load_examples(path: Path) -> dict[str, list[FewShotExample]]:
+    """Example lists by task name. A misspelt task or a malformed entry is a
+    PromptError, so that no task's examples are silently dropped."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise PromptError(f"{path}: expected an object of example lists by task")
     out: dict[str, list[FewShotExample]] = {}
     for task_name, records in data.items():
-        out[task_name] = [
-            FewShotExample(
-                input_fields=tuple(rec["input_fields"].items()),
-                output=rec["output"],
+        if task_name not in _TASK_NAMES:
+            raise PromptError(f"{path}: unknown task {task_name!r}")
+        if not isinstance(records, list):
+            raise PromptError(f"{path}: {task_name} must be a list of examples")
+        examples = out[task_name] = []
+        for index, record in enumerate(records):
+            if not _is_example(record):
+                raise PromptError(
+                    f"{path}: {task_name} example {index} must be "
+                    '{"input_fields": {str: str}, "output": str}'
+                )
+            examples.append(
+                FewShotExample(tuple(record["input_fields"].items()), record["output"])
             )
-            for rec in records
-        ]
     return out
 
 

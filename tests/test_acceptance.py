@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import runpy
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -419,3 +420,12 @@ def test_live_reproduction_path_is_documented(capsys):
         assert "LLM_API_KEY" in readme
         demo = PACKAGE_ROOT / "scripts" / "run_scripted_demo.py"
         assert demo.exists()
+
+
+def test_scripted_demo_runs_eval_and_ablate(capsys, tmp_path):
+    with passline(capsys, "scripts/run_scripted_demo.py runs eval and ablate offline"):
+        demo = runpy.run_path(str(PACKAGE_ROOT / "scripts" / "run_scripted_demo.py"))
+        assert demo["run"](tmp_path) == 0
+        # One from eval, one per ablation variant.
+        assert len(list(tmp_path.rglob("report.json"))) == 7
+        assert len(list((tmp_path / "ablate").glob("*/report.json"))) == 6

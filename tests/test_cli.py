@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -141,6 +142,14 @@ class TestMergeOptions:
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             _merge_options(self.parse(["eval", "--config", "/nonexistent.json"]))
+
+    def test_config_int_widened_for_float_option_and_null_where_default_is(
+        self, tmp_path
+    ):
+        config = write_json(tmp_path / "c.json", {"t1": 10, "hops": None})
+        options = _merge_options(self.parse(["eval", "--config", str(config)]))
+        assert options["t1"] == 10.0 and type(options["t1"]) is float
+        assert options["hops"] is None
 
 
 class TestResolveClaimContext:
@@ -467,6 +476,26 @@ class TestEvalCommand:
         assert not stale.exists()
         assert len(list((out_dir / "traces").glob("*.json"))) == 5
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_hops_without_hover_is_config_error(
+        self, six_bundle, tmp_path, capsys, how
+    ):
+        config = write_json(tmp_path / "c.json", {"hops": 2})
+        extra = ["--hops", "2"] if how == "flag" else ["--config", str(config)]
+        code = main(
+            [
+                "eval",
+                "--dataset", "generic",
+                "--data-path", str(six_bundle.dataset_path),
+                *extra,
+                *scripted_args(six_bundle.script_path, tmp_path / "cache"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "hops" in err and "hover" in err
+
     def test_per_claim_failures_contained(self, six_bundle, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text("[]", encoding="utf-8")
@@ -625,6 +654,18 @@ class TestExitCodes:
             ({"temperature": "hot"}, "temperature"),
             ({"max_tokens": "many"}, "max_tokens"),
             ({"max_retries": {}}, "max_retries"),
+            ({"hops": "2"}, "hops"),
+            ({"hops": 5}, "hops"),
+            ({"min_keywords": 2.9}, "min_keywords"),
+            ({"workers": 1.5}, "workers"),
+            ({"t1": True}, "t1"),
+            ({"t1": "60"}, "t1"),
+            ({"with_claim_context": "false"}, "with_claim_context"),
+            ({"short_circuit": "false"}, "short_circuit"),
+            ({"dataset": "hoverr"}, "dataset"),
+            ({"model": 5}, "model"),
+            ({"out": 5}, "out"),
+            ({"variants": 3}, "variants"),
         ],
     )
     def test_wrongly_typed_config_values_are_config_errors(
@@ -749,6 +790,42 @@ class TestMalformedScript:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "script entry 0" in err
+
+
+class TestMalformedExamples:
+    @pytest.mark.parametrize(
+        "examples, named",
+        [
+            ({"keyword_extraction": [{"output": "x"}]}, "keyword_extraction example 0"),
+            ({"keyword_extraction": [["Input", "x"]]}, "keyword_extraction example 0"),
+            (
+                {"claim_deconstruction": [{"input_fields": ["x"], "output": "x"}]},
+                "claim_deconstruction example 0",
+            ),
+            ({"keyword_extraction": {"output": "x"}}, "keyword_extraction"),
+            ({"keyword_extration": []}, "keyword_extration"),
+        ],
+        ids=["no-input-fields", "list-entry", "list-fields", "object-list", "misspelt"],
+    )
+    def test_rejected_at_start_up(self, six_bundle, tmp_path, capsys, examples, named):
+        packaged = cli.PromptLibrary.load().directory
+        prompts_dir = tmp_path / "prompts"
+        skip = shutil.ignore_patterns("*.py", "__pycache__")
+        shutil.copytree(packaged, prompts_dir, ignore=skip)
+        write_json(prompts_dir / "examples.json", examples)
+        code = main(
+            [
+                "eval",
+                "--data-path", str(six_bundle.dataset_path),
+                "--prompts-dir", str(prompts_dir),
+                *scripted_args(six_bundle.script_path, tmp_path / "cache"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert named in err
+        assert not (tmp_path / "cache").exists()
 
 
 class TestOutputFiles:
