@@ -93,7 +93,8 @@ OPTIONS: dict[str, Option] = {
                            "minimum selected keywords required to summarize a piece"),
     "with_claim_context": Option(None, bool, "prefix subclaim questions with the full "
                                  "claim (default: on for hover, off otherwise)"),
-    "workers": Option(min(8, os.cpu_count() or 1), int, "parallel claims"),
+    "workers": Option(min(8, os.cpu_count() or 1), int,
+                      "parallel claims (HTTP backends)", _DATA),
     "cache_dir": Option(".claimpipe-cache", str, "completion cache directory",
                         (*_RUN, "cache")),
     "prompts_dir": Option(None, str, "directory with prompt templates "
@@ -188,6 +189,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
         # must still override the config file.
         if value is not None:
             effective[key] = value
+    if effective["workers"] < 1:
+        raise ConfigError("workers must be >= 1")
     return effective
 
 

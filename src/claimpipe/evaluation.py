@@ -1,5 +1,10 @@
-"""Evaluation: Macro-F1 over the two verdict classes, batched runs with a
-thread pool, and the ablation matrix.
+"""Evaluation: Macro-F1 over the two verdict classes, batched runs, and the
+ablation matrix.
+
+A run with an HTTP backend verifies claims on a thread pool, since they wait
+on the network. A run on scripted backends only verifies them one at a time,
+in input order, on the calling thread: its work is all CPU under the
+interpreter lock, where more threads only queue for the lock.
 
 A claim whose pipeline run fails is scored as predicted False and counted in
 ``error_count``; evaluation never dies on one bad claim. Per-claim traces are
@@ -236,9 +241,11 @@ def run_eval(
 ) -> EvalReport:
     """Verify every instance and score predictions against gold labels.
 
-    Claims are dispatched to a pool of ``workers`` threads; report rows keep
-    the input order regardless of completion order. On HTTP backends the
-    calls inside each claim also run concurrently (see ``open_verifier``).
+    With an HTTP backend, claims are dispatched to a pool of ``workers``
+    threads, and the calls inside each claim also run concurrently (see
+    ``open_verifier``). With scripted backends only, claims run one at a time
+    on the calling thread and ``workers`` is unused. Report rows keep the
+    input order either way.
     """
     if not instances:
         raise ValueError("no instances to evaluate")
@@ -249,37 +256,44 @@ def run_eval(
         raise ValueError("workers must be >= 1")
 
     rows: list[ClaimRow | None] = [None] * len(instances)
-    with open_verifier(
-        config, prompts, cache=cache, workers=workers
-    ) as verifier, ThreadPoolExecutor(max_workers=workers) as pool:
-        out_dir: Path | None = None
-        if trace_dir is not None:
-            out_dir = Path(trace_dir)
+    out_dir = None if trace_dir is None else Path(trace_dir)
+
+    def finish(
+        position: int, row: ClaimRow, report: VerificationReport | None
+    ) -> None:
+        rows[position] = row
+        # Traces land on disk as soon as each claim finishes. A failed claim
+        # has none, so an earlier run's trace must not stand in for it.
+        if out_dir is not None:
+            path = _trace_path(out_dir, row.claim_id)
+            if report is not None:
+                write_json(path, report.to_dict())
+            else:
+                path.unlink(missing_ok=True)
+
+    with open_verifier(config, prompts, cache=cache, workers=workers) as verifier:
+        if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
         started = time.monotonic()
-        pending = {
-            pool.submit(_evaluate_one, verifier, instance): position
-            for position, instance in enumerate(instances)
-        }
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                position = pending.pop(future)
-                row, report = future.result()
-                rows[position] = row
-                # Traces land on disk as soon as each claim finishes. A failed
-                # claim has none, so an earlier run's trace must not stand in
-                # for it.
-                if out_dir is not None:
-                    path = _trace_path(out_dir, row.claim_id)
-                    if report is not None:
-                        write_json(path, report.to_dict())
-                    else:
-                        path.unlink(missing_ok=True)
+        if verifier.executor is None:
+            # Scripted backends only: no claim threads (see the module doc).
+            for position, instance in enumerate(instances):
+                finish(position, *_evaluate_one(verifier, instance))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                pending = {
+                    pool.submit(_evaluate_one, verifier, instance): position
+                    for position, instance in enumerate(instances)
+                }
+                while pending:
+                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        finish(pending.pop(future), *future.result())
         elapsed = time.monotonic() - started
     clients = (verifier.abstraction_client, verifier.verification_client)
 
-    # Every position is filled: a claim whose future raised ended the run.
+    # Every position is filled: a claim that raised past _evaluate_one ended
+    # the run.
     counts = confusion([row.predicted for row in rows], [row.gold for row in rows])
     counts.error_count = sum(1 for row in rows if row.error)
     counts.abstain_count = sum(row.abstained_subclaims for row in rows)

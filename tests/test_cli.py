@@ -70,7 +70,7 @@ class TestParser:
                 ["--claim", "--evidence", "--t1", "--t2", "--min-keywords",
                  "--with-claim-context", "--short-circuit", "--config",
                  "--backend", "--endpoint", "--model", "--abstraction-model",
-                 "--api-key-env", "--script", "--workers", "--cache-dir",
+                 "--api-key-env", "--script", "--cache-dir",
                  "--prompts-dir", "--out", "--temperature", "--max-tokens"],
             ),
             ("eval", ["--dataset", "--data-path", "--hops", "--workers"]),
@@ -95,6 +95,13 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["eval", "--dataset", "nonsense"])
         assert excinfo.value.code == 2
+
+    def test_verify_takes_no_workers_flag(self, capsys):
+        # verify runs one claim, so it has no claim pool to size.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--workers", "2", "--claim", "C.", "--evidence", "e.json"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestMergeOptions:
@@ -685,6 +692,29 @@ class TestExitCodes:
         assert "config error" in err
         assert key in err
         assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_workers_below_one_rejected_before_any_file_is_written(
+        self, six_bundle, tmp_path, capsys, command, via_config
+    ):
+        if via_config:
+            workers = ["--config", str(write_json(tmp_path / "c.json", {"workers": 0}))]
+        else:
+            workers = ["--workers", "0"]
+        code = main(
+            [
+                command,
+                "--data-path", str(six_bundle.dataset_path),
+                "--out", str(tmp_path / "out"),
+                *workers,
+                *scripted_args(six_bundle.script_path, tmp_path / "cache"),
+            ]
+        )
+        assert code == 2
+        assert "config error: workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_keyboard_interrupt_maps_to_130(self, monkeypatch, capsys):
         def raise_interrupt(args):

@@ -4,6 +4,8 @@ import json
 import logging
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from claimpipe.data import (
     DataError,
@@ -11,6 +13,7 @@ from claimpipe.data import (
     HOVER_LABELS,
     LabelMap,
     dump_generic,
+    json_text,
     load_feverous,
     load_generic,
     load_hover,
@@ -377,3 +380,68 @@ class TestSharedRecordRules:
             EvidencePiece(text="a.", title=None),
             EvidencePiece(text="b.", title=None),
         )
+
+
+# Text with non-ASCII, control and escaped characters in every position.
+TEXT = st.text(max_size=6) | st.sampled_from(
+    ["", "é", "naïve 日本", "\x00\x1f\x7f", '"\\/', "\u2028\ud83d", "\n\t"]
+)
+
+
+class ReprFloat(float):
+    """A float whose own text is not its number's; JSON writes the number."""
+
+    def __repr__(self):
+        return "ReprFloat()"
+
+    __str__ = __repr__
+
+
+class ReprInt(int):
+    """An int whose own text is not its number's; JSON writes the number."""
+
+    def __repr__(self):
+        return "ReprInt()"
+
+    __str__ = __repr__
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats()
+    | st.floats().map(ReprFloat)
+    | st.integers().map(ReprInt)
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e16])
+    | TEXT
+)
+KEYS = TEXT | st.booleans() | st.none() | st.integers() | st.floats()
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    @settings(deadline=None)
+    @given(JSON_VALUES)
+    @example({})
+    @example([[], (), {"": {}}])
+    @example({"\x00é": [True, 1, False, 0, None, 2**100, -(2**70)]})
+    @example([-0.0, float("nan"), float("inf"), float("-inf"), 1e-7, 0.1])
+    @example({1: "a", 2.5: "b", True: "c", None: "d", float("nan"): "e"})
+    @example([ReprFloat(0.5), ReprInt(3), {ReprFloat(1.5): ReprInt(-2)}])
+    def test_equals_indented_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value, ensure_ascii=False, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [{1, 2}, {"a": [{"b"}]}, {("k",): 1}])
+    def test_unserializable_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            json_text(value)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,7 @@ from claimpipe.llm import ResponseCache
 from claimpipe.pipeline import (
     Ablation,
     ClaimInstance,
+    ClaimVerifier,
     EvidencePiece,
     PipelineConfig,
     Verdict,
@@ -171,6 +173,32 @@ class TestRunEval:
 
         assert run(1) == run(1)
         assert run(1) == run(4)
+
+    def test_scripted_claims_run_on_the_calling_thread(
+        self, six_bundle, prompt_library, tmp_path, monkeypatch
+    ):
+        instances = load_generic(six_bundle.dataset_path)
+        config = scripted_config(six_bundle.script_path, with_claim_context=True)
+        threads_before = threading.active_count()
+        seen = []
+        original = ClaimVerifier.verify_claim
+
+        def recording(verifier, instance):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return original(verifier, instance)
+
+        monkeypatch.setattr(ClaimVerifier, "verify_claim", recording)
+        run_eval(instances, config, prompt_library, workers=4, trace_dir=tmp_path / "w4")
+        assert seen == [(threading.get_ident(), threads_before)] * len(instances)
+        assert threading.active_count() == threads_before
+
+        run_eval(instances, config, prompt_library, workers=1, trace_dir=tmp_path / "w1")
+        names = sorted(path.name for path in (tmp_path / "w1").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "w4").iterdir())
+        for name in names:
+            assert (tmp_path / "w4" / name).read_bytes() == (
+                tmp_path / "w1" / name
+            ).read_bytes()
 
     def test_failing_claim_contained_as_false(self, six_bundle, prompt_library, tmp_path):
         instances = load_generic(six_bundle.dataset_path) + [
