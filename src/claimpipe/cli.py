@@ -201,16 +201,9 @@ def _resolve_claim_context(options: dict) -> bool:
 
 
 def _build_backend(options: dict, model_id: str) -> BackendConfig:
-    kind = BackendKind(options["backend"])
-    if kind is BackendKind.HTTP_CHAT and not options["endpoint"]:
-        raise ConfigError("http backend requires --endpoint")
-    if kind is BackendKind.SCRIPTED and not options["script"]:
-        raise ConfigError("scripted backend requires --script")
-    if kind is BackendKind.SCRIPTED and not Path(options["script"]).exists():
-        raise ConfigError(f"script file not found: {options['script']}")
     try:
-        return BackendConfig(
-            kind=kind,
+        backend = BackendConfig(
+            kind=BackendKind(options["backend"]),
             endpoint_url=options["endpoint"],
             api_key_env=options["api_key_env"],
             script_path=options["script"],
@@ -223,6 +216,9 @@ def _build_backend(options: dict, model_id: str) -> BackendConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if backend.kind is BackendKind.SCRIPTED and not Path(backend.script_path).exists():
+        raise ConfigError(f"script file not found: {backend.script_path}")
+    return backend
 
 
 def _build_pipeline_config(options: dict, ablation: Ablation) -> PipelineConfig:

@@ -17,7 +17,7 @@ import hashlib
 import logging
 import re
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,39 +129,56 @@ class ClaimRow:
 
 @dataclass
 class EvalReport:
+    """One run's rows and totals; the counts and scores follow from the rows."""
+
     config: dict
-    metrics: dict[str, ClassMetrics]
-    macro_f1: float
-    counts: ConfusionCounts
     rows: list[ClaimRow]
     prompt_tokens: int = 0
     completion_tokens: int = 0
     wall_clock_seconds: float = 0.0
     variant: Ablation = Ablation.NONE
 
+    @property
+    def counts(self) -> ConfusionCounts:
+        rows = self.rows
+        counts = confusion([row.predicted for row in rows], [row.gold for row in rows])
+        counts.error_count = sum(1 for row in rows if row.error)
+        counts.abstain_count = sum(row.abstained_subclaims for row in rows)
+        return counts
+
+    @property
+    def metrics(self) -> dict[str, ClassMetrics]:
+        return class_metrics(self.counts)
+
+    @property
+    def macro_f1(self) -> float:
+        return _macro_f1_of(self.metrics)
+
     def to_dict(self, include_timing: bool = True) -> dict:
+        counts = self.counts
+        metrics = class_metrics(counts)
         out = {
             "schema_version": SCHEMA_VERSION,
             "variant": self.variant.value,
             "config": self.config,
             "metrics": {
-                "macro_f1": self.macro_f1,
-                "per_class": {name: plain(m) for name, m in self.metrics.items()},
+                "macro_f1": _macro_f1_of(metrics),
+                "per_class": {name: plain(m) for name, m in metrics.items()},
             },
             "counts": {
                 "claims": len(self.rows),
-                "errors": self.counts.error_count,
-                "abstained_subclaims": self.counts.abstain_count,
+                "errors": counts.error_count,
+                "abstained_subclaims": counts.abstain_count,
                 "per_class": {
                     "true": {
-                        "tp": self.counts.tp_true,
-                        "fp": self.counts.fp_true,
-                        "fn": self.counts.fn_true,
+                        "tp": counts.tp_true,
+                        "fp": counts.fp_true,
+                        "fn": counts.fn_true,
                     },
                     "false": {
-                        "tp": self.counts.tp_false,
-                        "fp": self.counts.fp_false,
-                        "fn": self.counts.fn_false,
+                        "tp": counts.tp_false,
+                        "fp": counts.fp_false,
+                        "fn": counts.fn_false,
                     },
                 },
             },
@@ -176,19 +193,21 @@ class EvalReport:
         return out
 
     def to_table(self) -> str:
+        counts = self.counts
+        metrics = class_metrics(counts)
         lines = [
             f"{'class':<10} {'precision':>9} {'recall':>9} {'f1':>9}",
         ]
         for name in ("true", "false"):
-            m = self.metrics[name]
+            m = metrics[name]
             lines.append(
                 f"{name:<10} {100 * m.precision:>9.2f} "
                 f"{100 * m.recall:>9.2f} {100 * m.f1:>9.2f}"
             )
-        lines.append(f"{'macro_f1':<10} {self.macro_f1:>29.2f}")
+        lines.append(f"{'macro_f1':<10} {_macro_f1_of(metrics):>29.2f}")
         lines.append(
-            f"claims {len(self.rows)}  errors {self.counts.error_count}  "
-            f"abstained_subclaims {self.counts.abstain_count}"
+            f"claims {len(self.rows)}  errors {counts.error_count}  "
+            f"abstained_subclaims {counts.abstain_count}"
         )
         return "\n".join(lines)
 
@@ -285,24 +304,16 @@ def run_eval(
                     pool.submit(_evaluate_one, verifier, instance): position
                     for position, instance in enumerate(instances)
                 }
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        finish(pending.pop(future), *future.result())
+                # Popped so that each finished claim's report is freed.
+                for future in as_completed(pending):
+                    finish(pending.pop(future), *future.result())
         elapsed = time.monotonic() - started
     clients = (verifier.abstraction_client, verifier.verification_client)
 
     # Every position is filled: a claim that raised past _evaluate_one ended
     # the run.
-    counts = confusion([row.predicted for row in rows], [row.gold for row in rows])
-    counts.error_count = sum(1 for row in rows if row.error)
-    counts.abstain_count = sum(row.abstained_subclaims for row in rows)
-    metrics = class_metrics(counts)
     return EvalReport(
         config=config.to_dict(),
-        metrics=metrics,
-        macro_f1=_macro_f1_of(metrics),
-        counts=counts,
         rows=rows,
         prompt_tokens=sum(client.prompt_tokens_total for client in clients),
         completion_tokens=sum(client.completion_tokens_total for client in clients),

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import requests
 
@@ -26,6 +27,10 @@ DEFAULT_MAX_TOKENS = 512
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 # Statuses whose Retry-After header is honoured.
 RETRY_AFTER_STATUSES = frozenset({429, 503})
+# Connection faults and replies cut short; no other ``requests`` error is retried.
+RETRYABLE_FAULTS = (
+    requests.ConnectionError, requests.Timeout, requests.exceptions.ChunkedEncodingError
+)
 
 
 class BackendError(Exception):
@@ -39,7 +44,7 @@ class BackendError(Exception):
 
 
 class TransportError(BackendError):
-    """Network failure or non-success HTTP status after retries."""
+    """Network fault or failed HTTP status after retries, or a request error."""
 
 
 class MalformedResponseError(BackendError):
@@ -53,6 +58,15 @@ class ScriptedMissError(BackendError):
 class BackendKind(str, Enum):
     HTTP_CHAT = "http"
     SCRIPTED = "scripted"
+
+
+def _is_http_url(url: str) -> bool:
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises on a port that is not a number in range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 @dataclass(frozen=True)
@@ -69,8 +83,11 @@ class BackendConfig:
     backoff_base: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind is BackendKind.HTTP_CHAT and not self.endpoint_url:
-            raise ValueError("http backend requires an endpoint URL")
+        if self.kind is BackendKind.HTTP_CHAT and not _is_http_url(self.endpoint_url):
+            raise ValueError(
+                "http backend requires an endpoint: an http or https URL with a "
+                f"host, got {self.endpoint_url!r}"
+            )
         if self.kind is BackendKind.SCRIPTED and not self.script_path:
             raise ValueError("scripted backend requires a script path")
         if self.max_retries < 0:
@@ -395,9 +412,13 @@ class CompletionClient:
                     headers=headers,
                     timeout=self.backend.request_timeout,
                 )
-            except (requests.Timeout, requests.ConnectionError) as exc:
+            except RETRYABLE_FAULTS as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
                 continue
+            except requests.RequestException as exc:
+                raise TransportError(
+                    f"{type(exc).__name__}: {exc}", prompt_sha256=digest
+                ) from exc
             if resp.status_code in RETRYABLE_STATUSES:
                 last_error = f"HTTP {resp.status_code}"
                 if resp.status_code in RETRY_AFTER_STATUSES:

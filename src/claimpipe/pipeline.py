@@ -5,11 +5,11 @@ by fuzzy matching, summarize each evidence piece under its keywords,
 deconstruct the claim into subclaims, and verify each subclaim against the
 abstracted plus raw evidence. A claim is False iff any subclaim is False.
 
-Each stage that calls the model records a TraceEntry, so a finished report
-carries the full prompt/response history in canonical order: extraction,
-summaries by piece, deconstruction, verifications by subclaim index. On HTTP
-backends the calls that do not depend on each other run concurrently; the
-trace order does not change.
+Each stage that calls the model stores a TraceEntry at its place in the
+claim's trace, so a finished report carries the full prompt/response history
+in canonical order: extraction, summaries by piece, deconstruction,
+verifications by subclaim index. On HTTP backends the calls that do not
+depend on each other run concurrently, in whatever order they finish.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import PurePath
 from typing import Callable, Iterator
 
@@ -367,30 +368,20 @@ def aggregate(results: list[SubclaimResult] | tuple[SubclaimResult, ...]) -> Ver
     return Verdict.TRUE
 
 
-# A stage name and a function that runs one stage method and returns its
-# result with the trace entries it recorded, or that function's future when
-# it was submitted to the pool ahead of its phase.
-Task = tuple[str, Callable[[], tuple[object, list[TraceEntry]]] | Future]
+# A stage name and a zero-argument function that runs one stage method.
+Call = tuple[str, Callable[[], object]]
 
+# A claim's trace keys each entry by (its stage's rank, piece or subclaim
+# index), and lists the entries sorted by key.
+TRACE_RANKS = {
+    "keyword_extraction": 0,
+    "evidence_summarization": 1,
+    "claim_guided_summarization": 1,
+    "claim_deconstruction": 2,
+    "subclaim_verification": 3,
+}
 
-def _task(stage: str, method: Callable, *args: object) -> Task:
-    """Wrap a stage-method call so it records its trace entries apart;
-    tasks can then finish in any order and the trace is assembled after."""
-
-    def run() -> tuple[object, list[TraceEntry]]:
-        entries: list[TraceEntry] = []
-        return method(*args, entries), entries
-
-    return stage, run
-
-
-def _record(
-    outcome: Callable[[], tuple[object, list[TraceEntry]]], trace: list[TraceEntry]
-) -> object:
-    """Run or collect one task's outcome; add its entries to ``trace``."""
-    value, entries = outcome()
-    trace.extend(entries)
-    return value
+Trace = dict[tuple[int, int], TraceEntry]
 
 
 class ClaimVerifier:
@@ -401,11 +392,13 @@ class ClaimVerifier:
     client. Stateless between claims, so one instance serves many threads.
 
     A claim runs in three phases: keyword extraction and selection; the
-    summaries alongside the deconstruction; the subclaim verifications. With
-    an ``executor``, the calls within a phase run on it concurrently (the
+    summaries alongside the deconstruction; the subclaim verifications.
+    ``_start`` starts every call but the extraction. With an ``executor`` it
+    submits them at once: the calls of a phase run concurrently (the
     verifications stay one at a time under ``short_circuit``), and the
-    deconstruction, which needs only the claim, starts on it before keyword
-    extraction. Without one, every call runs in order on the calling thread.
+    deconstruction runs beside keyword extraction. Without one, every call
+    runs in order on the calling thread. Either way results are read in
+    canonical order, so the first failure in that order is the one raised.
     """
 
     def __init__(
@@ -422,23 +415,30 @@ class ClaimVerifier:
         self.verification_client = verification_client
         self.executor = executor
 
-    def _call(self, client: CompletionClient, stage: str, prompt: str) -> TraceEntry:
+    def _call(
+        self,
+        client: CompletionClient,
+        stage: str,
+        prompt: str,
+        trace: Trace,
+        index: int = 0,
+    ) -> TraceEntry:
+        """Complete ``prompt`` and store its entry at its place in ``trace``.
+        The calls of a claim store distinct places, from any thread."""
         response = client.complete_prompt(prompt)
-        return TraceEntry(
+        entry = TraceEntry(
             stage=stage, prompt_sha256=response.prompt_sha256, response=response.text
         )
+        trace[TRACE_RANKS[stage], index] = entry
+        return entry
 
-    def extract_keywords(self, claim: str, trace: list[TraceEntry]) -> list[str]:
+    def extract_keywords(self, claim: str, trace: Trace) -> list[str]:
         prompt = self.prompts.render_keyword_extraction(claim)
-        entry = self._call(self.abstraction_client, "keyword_extraction", prompt)
-        trace.append(entry)
+        entry = self._call(self.abstraction_client, "keyword_extraction", prompt, trace)
         return parse_keyword_list(entry.response)
 
     def abstract_evidence(
-        self,
-        evidence: EvidencePiece,
-        keyword_set: KeywordSet,
-        trace: list[TraceEntry],
+        self, evidence: EvidencePiece, keyword_set: KeywordSet, trace: Trace
     ) -> AbstractedEvidence | None:
         """Summarize one evidence piece under its selected keywords.
 
@@ -449,34 +449,29 @@ class ClaimVerifier:
         if len(keywords) < self.config.min_keywords_for_summary:
             return None
         prompt = self.prompts.render_evidence_summarization(evidence.text, keywords)
-        entry = self._call(self.abstraction_client, "evidence_summarization", prompt)
-        trace.append(entry)
+        index = keyword_set.evidence_index
+        entry = self._call(
+            self.abstraction_client, "evidence_summarization", prompt, trace, index
+        )
         return AbstractedEvidence(
-            source_index=keyword_set.evidence_index,
-            text=entry.response.strip(),
-            keywords=keywords,
+            source_index=index, text=entry.response.strip(), keywords=keywords
         )
 
     def summarize_with_claim(
-        self,
-        evidence: EvidencePiece,
-        claim: str,
-        source_index: int,
-        trace: list[TraceEntry],
+        self, evidence: EvidencePiece, claim: str, source_index: int, trace: Trace
     ) -> AbstractedEvidence:
         prompt = self.prompts.render_claim_guided_summarization(evidence.text, claim)
-        entry = self._call(
-            self.abstraction_client, "claim_guided_summarization", prompt
-        )
-        trace.append(entry)
+        stage = "claim_guided_summarization"
+        entry = self._call(self.abstraction_client, stage, prompt, trace, source_index)
         return AbstractedEvidence(
             source_index=source_index, text=entry.response.strip(), keywords=()
         )
 
-    def deconstruct_claim(self, claim: str, trace: list[TraceEntry]) -> list[Subclaim]:
+    def deconstruct_claim(self, claim: str, trace: Trace) -> list[Subclaim]:
         prompt = self.prompts.render_claim_deconstruction(claim)
-        entry = self._call(self.verification_client, "claim_deconstruction", prompt)
-        trace.append(entry)
+        entry = self._call(
+            self.verification_client, "claim_deconstruction", prompt, trace
+        )
         return parse_subclaims(entry.response)
 
     def verify_subclaim(
@@ -485,7 +480,7 @@ class ClaimVerifier:
         abstracted: list[AbstractedEvidence],
         raw: list[EvidencePiece],
         claim: str,
-        trace: list[TraceEntry],
+        trace: Trace,
     ) -> SubclaimResult:
         block = format_evidence_block(
             [a.text for a in abstracted], [e.text for e in raw]
@@ -496,8 +491,8 @@ class ClaimVerifier:
             claim=claim,
             with_context=self.config.with_claim_context,
         )
-        entry = self._call(self.verification_client, "subclaim_verification", prompt)
-        trace.append(entry)
+        stage, index = "subclaim_verification", subclaim.index
+        entry = self._call(self.verification_client, stage, prompt, trace, index)
         verdict, abstained = parse_verdict_answer(entry.response)
         return SubclaimResult(
             subclaim=subclaim,
@@ -506,55 +501,40 @@ class ClaimVerifier:
             abstained=abstained,
         )
 
-    def _phase(self, tasks: list[Task], concurrent: bool = True) -> list[Task]:
-        """Pair each task's stage with a function that returns its outcome,
-        in task order.
-
-        Inline (no executor, ``concurrent`` off, or one task), a task runs
-        when its outcome is asked for, so the caller's first failure or early
-        stop skips the rest. Otherwise all tasks are submitted at once and
-        this returns only when every one has finished: no call outlives the
-        claim, and reading the outcomes in order raises the first failure in
-        task order, as the inline path does. A task given as a future is
-        already running and is only waited for: resubmitting it would block
-        a pool thread on another pool task, which can deadlock the pool.
-        """
-        if self.executor is None or not concurrent or len(tasks) < 2:
-            return [
-                (stage, run.result if isinstance(run, Future) else run)
-                for stage, run in tasks
-            ]
-        futures = [
-            (stage, run if isinstance(run, Future) else self.executor.submit(run))
-            for stage, run in tasks
-        ]
-        wait([future for _, future in futures])
+    def _start(self, calls: list[Call], started: list[Future]) -> list[Call]:
+        """Start ``calls``; each comes back paired with a function that
+        returns its result. With an executor, each is submitted now and its
+        future added to ``started``, which the claim waits for before it ends.
+        Without one, they come back unchanged: each runs when its result is
+        read, so the caller's first failure or stop skips the rest."""
+        if self.executor is None:
+            return calls
+        futures = [(stage, self.executor.submit(call)) for stage, call in calls]
+        started.extend(future for _, future in futures)
         return [(stage, future.result) for stage, future in futures]
 
     def verify_claim(self, instance: ClaimInstance) -> VerificationReport:
         plan = PLANS[self.config.ablation]
         claim = instance.claim
         stage = "input"
-        trace: list[TraceEntry] = []
+        trace: Trace = {}
+        started: list[Future] = []
         keywords: list[str] = []
         keyword_sets: list[KeywordSet] = []
-        early: Future | None = None
         try:
             if not claim.strip():
                 raise PipelineError("claim text is empty")
             if not instance.evidence:
                 raise PipelineError("instance has no evidence")
-            if plan.deconstruct:
-                deconstruction = _task(
-                    "claim_deconstruction", self.deconstruct_claim, claim
-                )
-                if self.executor is not None:
-                    # It needs only the claim, so it runs beside keyword
-                    # extraction; the next phase waits for it in order.
-                    early = self.executor.submit(deconstruction[1])
-                    deconstruction = ("claim_deconstruction", early)
+            # The deconstruction needs only the claim, so it starts first;
+            # its result is read after the summaries.
+            deconstruct = partial(self.deconstruct_claim, claim, trace)
+            deconstruction = self._start(
+                [("claim_deconstruction", deconstruct)] if plan.deconstruct else [],
+                started,
+            )
 
-            tasks: list[Task] = []
+            calls: list[Call] = []
             if plan.abstraction == "keyword":
                 stage = "keyword_extraction"
                 keywords = self.extract_keywords(claim, trace)
@@ -574,52 +554,44 @@ class ClaimVerifier:
                     )
                     for index, piece in enumerate(instance.evidence)
                 ]
-                tasks = [
-                    _task(
-                        "evidence_summarization",
-                        self.abstract_evidence,
-                        piece,
-                        keyword_set,
-                    )
+                abstract = partial(self.abstract_evidence, trace=trace)
+                calls = [
+                    ("evidence_summarization", partial(abstract, piece, keyword_set))
                     for piece, keyword_set in zip(instance.evidence, keyword_sets)
                 ]
             elif plan.abstraction == "claim":
-                tasks = [
-                    _task(
+                summarize = partial(self.summarize_with_claim, claim=claim, trace=trace)
+                calls = [
+                    (
                         "claim_guided_summarization",
-                        self.summarize_with_claim,
-                        piece,
-                        claim,
-                        index,
+                        partial(summarize, piece, source_index=index),
                     )
                     for index, piece in enumerate(instance.evidence)
                 ]
-            if plan.deconstruct:
-                tasks.append(deconstruction)
-            outcomes = []
-            for stage, outcome in self._phase(tasks):
-                outcomes.append(_record(outcome, trace))
-            subclaims = (
-                outcomes.pop() if plan.deconstruct else [Subclaim(index=1, text=claim)]
-            )
-            abstracted = [summary for summary in outcomes if summary is not None]
+            abstracted: list[AbstractedEvidence] = []
+            for stage, summarized in self._start(calls, started):
+                summary = summarized()
+                if summary is not None:
+                    abstracted.append(summary)
+            subclaims = [Subclaim(index=1, text=claim)]
+            for stage, deconstructed in deconstruction:
+                subclaims = deconstructed()
 
             raw = list(instance.evidence) if plan.raw_evidence else []
-            tasks = [
-                _task(
-                    "subclaim_verification",
-                    self.verify_subclaim,
-                    subclaim,
-                    abstracted,
-                    raw,
-                    claim,
-                )
+            verify = partial(
+                self.verify_subclaim, abstracted=abstracted, raw=raw, claim=claim
+            )
+            calls = [
+                ("subclaim_verification", partial(verify, subclaim, trace=trace))
                 for subclaim in subclaims
             ]
-            results: list[SubclaimResult] = []
             short_circuit = self.config.short_circuit
-            for stage, outcome in self._phase(tasks, concurrent=not short_circuit):
-                result = _record(outcome, trace)
+            if not short_circuit:
+                # Under short_circuit the verifications stay one at a time.
+                calls = self._start(calls, started)
+            results: list[SubclaimResult] = []
+            for stage, verified in calls:
+                result = verified()
                 results.append(result)
                 if short_circuit and result.verdict is Verdict.FALSE:
                     break
@@ -635,9 +607,8 @@ class ClaimVerifier:
         except Exception as exc:
             raise PipelineError(str(exc), stage=stage, claim_id=instance.id) from exc
         finally:
-            # However the claim ends, its early call has ended before it.
-            if early is not None:
-                wait([early])
+            # However the claim ends, no call it started outlives it.
+            wait(started)
 
         return VerificationReport(
             claim_id=instance.id,
@@ -647,7 +618,7 @@ class ClaimVerifier:
             subclaims=tuple(subclaims),
             results=tuple(results),
             final=final,
-            trace=tuple(trace),
+            trace=tuple(trace[place] for place in sorted(trace)),
         )
 
 

@@ -457,6 +457,30 @@ class TestEvalCommand:
         assert code == 2
         assert "endpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "endpoint", ["localhost:8000/v1", "ftp://127.0.0.1/v1", "http://"]
+    )
+    def test_malformed_endpoint_is_config_error(
+        self, six_bundle, tmp_path, capsys, endpoint
+    ):
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "eval",
+                "--data-path", str(six_bundle.dataset_path),
+                "--backend", "http",
+                "--endpoint", endpoint,
+                "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(out_dir),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "endpoint" in err
+        # Rejected before any claim ran or any file was written.
+        assert not out_dir.exists()
+
     def test_failed_claim_leaves_no_stale_trace(self, six_bundle, tmp_path):
         out_dir = tmp_path / "out"
         cache_dir = tmp_path / "cache"

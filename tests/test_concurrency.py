@@ -168,6 +168,40 @@ class TestInClaimConcurrency:
         assert trace_files(tmp_path / "workers1") == expected
         assert trace_files(tmp_path / "workers4") == expected
 
+    def test_traces_in_canonical_order_when_calls_finish_out_of_order(
+        self, chat, six_bundle, prompt_library, tmp_path
+    ):
+        instances = fixture_instances()
+        scripted_dir = tmp_path / "scripted"
+        run_eval(
+            instances,
+            scripted_config(six_bundle.script_path),
+            prompt_library,
+            trace_dir=scripted_dir,
+        )
+        expected = trace_files(scripted_dir)
+        # Each claim's first summary and first verification take the longest,
+        # so they finish after every sibling started with them.
+        reordered = set()
+        for text in expected.values():
+            trace = json.loads(text)["trace"]
+            stages = [entry["stage"] for entry in trace]
+            for stage in ("evidence_summarization", "subclaim_verification"):
+                chat.slow[trace[stages.index(stage)]["prompt_sha256"]] = 4 * DELAY_S
+                if stages.count(stage) > 1:
+                    reordered.add(stage)
+        assert len(reordered) == 2
+
+        run_eval(
+            instances,
+            http_config(chat),
+            prompt_library,
+            workers=4,
+            trace_dir=tmp_path / "http",
+        )
+        assert chat.peak["verify"] > 1
+        assert trace_files(tmp_path / "http") == expected
+
     def test_calls_within_one_claim_overlap(self, chat, prompt_library):
         report = run_eval(
             fixture_instances(), http_config(chat), prompt_library, workers=1

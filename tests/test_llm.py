@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import json
+import re
+import socket
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 
 from claimpipe import llm
+from claimpipe.cli import main
 from claimpipe.evaluation import run_eval
 from claimpipe.llm import (
     BackendConfig,
@@ -144,6 +148,49 @@ def keepalive_server():
         server.shutdown()
         thread.join(timeout=5)
         server.server_close()
+
+
+@pytest.fixture
+def short_body_server():
+    """A loopback socket that answers every request with a 200 whose
+    ``Content-Length`` claims 50 bytes more than the body it sends, then
+    closes the connection. ``requests`` counts the requests it has read."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    server = SimpleNamespace(server_address=listener.getsockname(), requests=0)
+    stop = threading.Event()
+    data = json.dumps(chat_payload("cut short")).encode()
+    reply = (
+        f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(data) + 50}\r\n\r\n"
+    ).encode() + data
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                conn.settimeout(5.0)
+                received = b""
+                while b"\r\n\r\n" not in received:
+                    received += conn.recv(65536)
+                head, _, body = received.partition(b"\r\n\r\n")
+                length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+                while len(body) < length:
+                    body += conn.recv(65536)
+                server.requests += 1
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
 
 
 def settles(predicate, timeout: float = 5.0) -> bool:
@@ -469,6 +516,41 @@ class TestHttpClient:
         client = CompletionClient(backend)
         with pytest.raises(TransportError, match="ConnectionError"):
             client.complete_prompt("x")
+
+    def test_body_cut_short_is_retried_then_a_transport_error(
+        self, short_body_server
+    ):
+        client = CompletionClient(http_backend(short_body_server, max_retries=2))
+        try:
+            with pytest.raises(TransportError, match="ChunkedEncodingError"):
+                client.complete_prompt("x")
+        finally:
+            client.close()
+        assert short_body_server.requests == 3
+
+    def test_body_cut_short_makes_verify_exit_4(
+        self, short_body_server, tmp_path, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"max_retries": 2, "backoff_base": 0.0}), encoding="utf-8"
+        )
+        evidence = tmp_path / "evidence.json"
+        evidence.write_text(json.dumps(["Some evidence."]), encoding="utf-8")
+        port = short_body_server.server_address[1]
+        code = main(
+            [
+                "verify",
+                "--claim", "Anything.",
+                "--evidence", str(evidence),
+                "--backend", "http",
+                "--endpoint", f"http://127.0.0.1:{port}/v1/chat",
+                "--config", str(config),
+                "--cache-dir", str(tmp_path / "cache"),
+            ]
+        )
+        assert code == 4
+        assert "backend error" in capsys.readouterr().err
 
     def test_missing_usage_defaults_to_zero(self, chat_server):
         chat_server.responses = [
