@@ -5,7 +5,8 @@ dataset, ``ablate`` a set of pipeline variants, and ``cache`` inspection.
 
 Option precedence: explicit flags beat the ``--config`` JSON file, which
 beats built-in defaults. Exit codes: 0 success, 2 configuration error,
-3 data error, 4 backend failure, 1 any other pipeline failure.
+3 data error, 4 backend failure (for ``eval`` and ``ablate``: a transport fault
+failed every claim), 1 any other pipeline failure.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ from .data import (
 )
 # ``verify`` reads its evidence file with the loaders' own entry rules.
 from .data import load_evidence as _read_evidence_file
-from .evaluation import comparison_table, run_ablation_matrix, run_eval
-from .llm import BackendConfig, BackendError, BackendKind, ResponseCache
+from .evaluation import EvalReport, comparison_table, run_ablation_matrix, run_eval
+from .llm import BackendConfig, BackendError, BackendKind, ResponseCache, TransportError
 from .pipeline import (
     Ablation,
     ClaimInstance,
@@ -110,7 +111,7 @@ OPTIONS: dict[str, Option] = {
     "backoff_base": Option(BackendConfig.backoff_base, float,
                            "seconds before the first retry, doubled per retry", ()),
     "request_timeout": Option(BackendConfig.request_timeout, float,
-                              "seconds per HTTP request", ()),
+                              "seconds to connect, or to wait for the next bytes", ()),
 }
 DEFAULTS = {key: option.default for key, option in OPTIONS.items()}
 
@@ -294,7 +295,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         write_json(out_dir / "report.json", report.to_dict())
         (out_dir / "table.txt").write_text(table + "\n", encoding="utf-8")
         print(f"report written to {options['out']}", file=sys.stderr)
-    return 0
+    return _outage_status([report])
 
 
 def _parse_variants(text: str | None) -> list[Ablation]:
@@ -343,7 +344,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             write_json(out_dir / report.variant.value / "report.json", report.to_dict())
         (out_dir / "comparison.txt").write_text(table + "\n", encoding="utf-8")
         print(f"reports written to {out_dir}", file=sys.stderr)
-    return 0
+    return _outage_status(reports)
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -368,13 +369,25 @@ _HANDLERS = {
 }
 
 
-def _backend_in_chain(exc: BaseException) -> bool:
+def _backend_in_chain(exc: BaseException, kind: type = BackendError) -> bool:
     seen: BaseException | None = exc
     while seen is not None:
-        if isinstance(seen, BackendError):
+        if isinstance(seen, kind):
             return True
         seen = seen.__cause__
     return False
+
+
+def _outage_status(reports: list[EvalReport]) -> int:
+    """4 when a transport fault failed every claim of the run, else 0; a
+    scripted miss or a malformed reply stays one claim's failure."""
+    failures = [exc for report in reports for exc in report.failures]
+    if len(failures) < sum(len(report.rows) for report in reports) or not all(
+        _backend_in_chain(exc, TransportError) for exc in failures
+    ):
+        return 0
+    print(f"backend error: every claim failed, first: {failures[0]}", file=sys.stderr)
+    return 4
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -129,7 +129,8 @@ class ClaimRow:
 
 @dataclass
 class EvalReport:
-    """One run's rows and totals; the counts and scores follow from the rows."""
+    """One run's rows and totals; the counts and scores follow from the rows.
+    ``failures`` holds each failed claim's error, in row order; not reported."""
 
     config: dict
     rows: list[ClaimRow]
@@ -137,6 +138,7 @@ class EvalReport:
     completion_tokens: int = 0
     wall_clock_seconds: float = 0.0
     variant: Ablation = Ablation.NONE
+    failures: tuple[PipelineError, ...] = ()
 
     @property
     def counts(self) -> ConfusionCounts:
@@ -228,7 +230,7 @@ def _trace_path(out_dir: Path, claim_id: str) -> Path:
 
 def _evaluate_one(
     verifier: ClaimVerifier, instance: ClaimInstance
-) -> tuple[ClaimRow, VerificationReport | None]:
+) -> tuple[ClaimRow, VerificationReport | PipelineError]:
     try:
         report = verifier.verify_claim(instance)
     except PipelineError as exc:
@@ -240,7 +242,7 @@ def _evaluate_one(
             error=True,
             error_message=str(exc),
         )
-        return row, None
+        return row, exc
     row = ClaimRow(
         claim_id=instance.id,
         gold=instance.gold_label,
@@ -275,20 +277,23 @@ def run_eval(
         raise ValueError("workers must be >= 1")
 
     rows: list[ClaimRow | None] = [None] * len(instances)
+    failures: list[PipelineError | None] = [None] * len(instances)
     out_dir = None if trace_dir is None else Path(trace_dir)
 
     def finish(
-        position: int, row: ClaimRow, report: VerificationReport | None
+        position: int, row: ClaimRow, outcome: VerificationReport | PipelineError
     ) -> None:
         rows[position] = row
+        if row.error:
+            failures[position] = outcome
         # Traces land on disk as soon as each claim finishes. A failed claim
         # has none, so an earlier run's trace must not stand in for it.
         if out_dir is not None:
             path = _trace_path(out_dir, row.claim_id)
-            if report is not None:
-                write_json(path, report.to_dict())
-            else:
+            if row.error:
                 path.unlink(missing_ok=True)
+            else:
+                write_json(path, outcome.to_dict())
 
     with open_verifier(config, prompts, cache=cache, workers=workers) as verifier:
         if out_dir is not None:
@@ -308,7 +313,8 @@ def run_eval(
                 for future in as_completed(pending):
                     finish(pending.pop(future), *future.result())
         elapsed = time.monotonic() - started
-    clients = (verifier.abstraction_client, verifier.verification_client)
+    # Equal backends share one client, counted once.
+    clients = {verifier.abstraction_client, verifier.verification_client}
 
     # Every position is filled: a claim that raised past _evaluate_one ended
     # the run.
@@ -319,6 +325,7 @@ def run_eval(
         completion_tokens=sum(client.completion_tokens_total for client in clients),
         wall_clock_seconds=elapsed,
         variant=config.ablation,
+        failures=tuple(exc for exc in failures if exc is not None),
     )
 
 

@@ -21,13 +21,15 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 import requests
+from requests.exceptions import SSLError
 
 DEFAULT_TEMPERATURE = 0.05
 DEFAULT_MAX_TOKENS = 512
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 # Statuses whose Retry-After header is honoured.
 RETRY_AFTER_STATUSES = frozenset({429, 503})
-# Connection faults and replies cut short; no other ``requests`` error is retried.
+# Connection faults and replies cut short; no other ``requests`` error is
+# retried, nor an SSLError (a rejected certificate fails alike every time).
 RETRYABLE_FAULTS = (
     requests.ConnectionError, requests.Timeout, requests.exceptions.ChunkedEncodingError
 )
@@ -272,25 +274,17 @@ class Script:
 class CompletionClient:
     """Caching client over one configured backend. Thread-safe.
 
-    A scripted backend reads its script file, unless ``script``, already
-    loaded from that file, is given. An HTTP backend keeps one kept-alive
-    ``requests.Session`` per calling thread, opened on that thread's first
-    call; ``close`` closes them all.
+    A scripted backend reads its script file. An HTTP backend keeps one
+    kept-alive ``requests.Session`` per calling thread, opened on that
+    thread's first call; ``close`` closes them all.
     """
 
-    def __init__(
-        self,
-        backend: BackendConfig,
-        cache: ResponseCache | None = None,
-        script: Script | None = None,
-    ):
+    def __init__(self, backend: BackendConfig, cache: ResponseCache | None = None):
         self.backend = backend
         self.cache = cache
-        if backend.kind is not BackendKind.SCRIPTED:
-            script = None
-        elif script is None:
-            script = Script.load(backend.script_path)
-        self.script = script
+        self.script = None
+        if backend.kind is BackendKind.SCRIPTED:
+            self.script = Script.load(backend.script_path)
         self._lock = threading.Lock()
         self._local = threading.local()
         self._sessions: list[requests.Session] = []
@@ -412,13 +406,11 @@ class CompletionClient:
                     headers=headers,
                     timeout=self.backend.request_timeout,
                 )
-            except RETRYABLE_FAULTS as exc:
-                last_error = f"{type(exc).__name__}: {exc}"
-                continue
             except requests.RequestException as exc:
-                raise TransportError(
-                    f"{type(exc).__name__}: {exc}", prompt_sha256=digest
-                ) from exc
+                last_error = f"{type(exc).__name__}: {exc}"
+                if isinstance(exc, SSLError) or not isinstance(exc, RETRYABLE_FAULTS):
+                    raise TransportError(last_error, prompt_sha256=digest) from exc
+                continue
             if resp.status_code in RETRYABLE_STATUSES:
                 last_error = f"HTTP {resp.status_code}"
                 if resp.status_code in RETRY_AFTER_STATUSES:

@@ -629,25 +629,24 @@ def open_verifier(
     cache: ResponseCache | None = None,
     workers: int = 1,
 ) -> Iterator[ClaimVerifier]:
-    """Build both clients and the verifier for ``workers`` claim threads.
+    """Build the clients and the verifier for ``workers`` claim threads.
 
     When either backend is HTTP, the verifier gets a pool of
     CALL_THREADS_PER_WORKER x ``workers`` threads for the calls inside
     claims, shut down on leaving the block. Scripted calls are microseconds
     of work under the interpreter lock, where handing them to threads only
-    costs time, so they run inline. Both clients, and so their connections,
-    are closed on leaving the block, after the pool.
+    costs time, so they run inline. Equal backends share one client. The
+    clients, and so their connections, are closed on leaving the block,
+    after the pool.
     """
     backends = (config.abstraction_backend, config.verification_backend)
     if None in backends:
         raise ValueError("config must carry both backends")
     abstraction_client = CompletionClient(config.abstraction_backend, cache=cache)
-    # Equal scripted backends read and check their script file once.
-    shared = config.verification_backend == config.abstraction_backend
-    verification_client = CompletionClient(
-        config.verification_backend,
-        cache=cache,
-        script=abstraction_client.script if shared else None,
+    verification_client = (
+        abstraction_client
+        if config.verification_backend == config.abstraction_backend
+        else CompletionClient(config.verification_backend, cache=cache)
     )
     executor = None
     if any(backend.kind is BackendKind.HTTP_CHAT for backend in backends):

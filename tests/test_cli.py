@@ -540,6 +540,37 @@ class TestEvalCommand:
         assert code == 0
         assert "errors 6" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command, extra, report",
+        [("eval", [], "report.json"),
+         ("ablate", ["--variants", "none,no-cd"], "no-cd/report.json")],
+        ids=["eval", "ablate"],
+    )
+    def test_unreachable_endpoint_for_every_claim_exits_4_after_writing(
+        self, tmp_path, capsys, command, extra, report
+    ):
+        config = write_json(
+            tmp_path / "c.json",
+            {"max_retries": 0, "backoff_base": 0.0, "request_timeout": 2.0},
+        )
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                command,
+                "--data-path", str(tiny_dataset_file(tmp_path)),
+                "--backend", "http",
+                "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+                "--config", str(config),
+                "--cache-dir", str(tmp_path / "cache"),
+                "--out", str(out_dir),
+                *extra,
+            ]
+        )
+        assert code == 4
+        assert "backend error" in capsys.readouterr().err
+        written = json.loads((out_dir / report).read_text(encoding="utf-8"))
+        assert written["counts"]["errors"] == written["counts"]["claims"] == 2
+
 
 class TestAblateCommand:
     def test_happy_path(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Concurrent calls inside a claim on HTTP backends.
 
-A loopback chat server answers every prompt of the six-claim run from its
+The loopback chat fake answers every prompt of the six-claim run from its
 script after a fixed delay, and counts the requests it holds at once. A
 prompt listed in its ``failures`` gets HTTP 400 after the listed delay; one
 listed in ``slow`` is answered after the listed delay.
@@ -8,13 +8,12 @@ listed in ``slow`` is answered after the listed delay.
 from __future__ import annotations
 
 import json
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 import fixture_six
+from chatfake import Reply, chat_payload, serve
 from conftest import fixture_instances, scripted_config, six_claim_script_entries
 from claimpipe.evaluation import run_eval
 from claimpipe.llm import (
@@ -41,80 +40,28 @@ MARKS = {
 }
 
 
-class DelayedChatHandler(BaseHTTPRequestHandler):
-    disable_nagle_algorithm = True
-
-    def do_POST(self):
-        server = self.server
-        length = int(self.headers.get("Content-Length", 0))
-        prompt = json.loads(self.rfile.read(length))["messages"][0]["content"]
-        digest = prompt_sha256(prompt)
-        failure_delay = server.failures.get(digest)
-        kinds = ["all"] + [kind for kind, mark in MARKS.items() if mark in prompt]
-        with server.lock:
-            for kind in kinds:
-                server.inflight[kind] += 1
-                server.peak[kind] = max(server.peak[kind], server.inflight[kind])
-            if server.inflight["extract"] and server.inflight["deconstruct"]:
-                server.overlaps += 1
-        if failure_delay is None:
-            time.sleep(server.slow.get(digest, DELAY_S))
-        else:
-            time.sleep(failure_delay)
-        # Released before the reply is sent: a client that has its answer
-        # never sees its own request counted.
-        with server.lock:
-            for kind in kinds:
-                server.inflight[kind] -= 1
-        if failure_delay is None:
-            status = 200
-            text = server.script.lookup(prompt)
-            payload = {
-                "choices": [{"message": {"role": "assistant", "content": text}}],
-                "usage": {"prompt_tokens": 5, "completion_tokens": 2},
-            }
-        else:
-            status, payload = 400, {"error": "injected failure"}
-        data = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
 @pytest.fixture
 def chat(prompt_library):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), DelayedChatHandler)
-    server.daemon_threads = True
-    server.lock = threading.Lock()
-    server.inflight = {kind: 0 for kind in ["all", *MARKS]}
-    server.peak = dict(server.inflight)
-    # Requests that arrived while an extraction and a deconstruction were
-    # both in flight.
-    server.overlaps = 0
-    server.script = Script(six_claim_script_entries(prompt_library))
-    server.failures = {}
-    server.slow = {}
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    try:
+    script = Script(six_claim_script_entries(prompt_library))
+    with serve(marks=MARKS) as server:
+        server.failures, server.slow = {}, {}
+
+        def answer(prompt: str) -> Reply:
+            digest = prompt_sha256(prompt)
+            if digest in server.failures:
+                body = {"error": "injected failure"}
+                return Reply(400, body, delay=server.failures[digest])
+            body = chat_payload(script.lookup(prompt), 5, 2)
+            return Reply(body=body, delay=server.slow.get(digest, DELAY_S))
+
+        server.answer = answer
         yield server
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-        server.server_close()
 
 
 def http_config(server, **overrides) -> PipelineConfig:
     backend = BackendConfig(
         kind=BackendKind.HTTP_CHAT,
-        endpoint_url=f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
+        endpoint_url=server.url,
         max_retries=0,
         request_timeout=5.0,
     )
@@ -279,7 +226,7 @@ class TestEarlyDeconstruction:
             fixture_instances(), http_config(chat), prompt_library, workers=1
         )
         assert report.counts.error_count == 0
-        assert chat.overlaps > 0
+        assert any(now["extract"] and now["deconstruct"] for now in chat.arrivals)
         assert chat.peak["all"] <= 5
 
     # (failing prompt, its failure delay, slow prompt, the stage named). The

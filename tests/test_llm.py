@@ -1,16 +1,13 @@
 from __future__ import annotations
 
 import json
-import re
-import socket
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
-from types import SimpleNamespace
 
 import pytest
 
+from chatfake import CA, Reply, chat_payload, serve
 from claimpipe import llm
 from claimpipe.cli import main
 from claimpipe.evaluation import run_eval
@@ -39,158 +36,10 @@ from claimpipe.pipeline import (
 )
 
 
-class ChatHandler(BaseHTTPRequestHandler):
-    """Serves canned chat responses; per-server script of (status, body) or
-    (status, body, headers)."""
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
-        self.server.requests_seen.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
-        )
-        status, payload, *headers = self.server.responses[
-            min(len(self.server.requests_seen) - 1, len(self.server.responses) - 1)
-        ]
-        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
-        self.send_response(status)
-        for name, value in (headers[0] if headers else {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
 @pytest.fixture
 def chat_server():
-    server = HTTPServer(("127.0.0.1", 0), ChatHandler)
-    server.requests_seen = []
-    server.responses = [(200, chat_payload("default"))]
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    try:
+    with serve() as server:
         yield server
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-        server.server_close()
-
-
-class KeepAliveHandler(BaseHTTPRequestHandler):
-    """Answers every POST with ``server.text`` over HTTP/1.1, keeping the
-    connection open. Counts connections, open connections and requests, and
-    records request paths. Request n stalls for ``server.stalls[n]`` seconds,
-    when given, and is then dropped unanswered. A connection idle for
-    ``server.idle_timeout`` seconds is closed."""
-
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-
-    def setup(self):
-        self.timeout = self.server.idle_timeout
-        super().setup()
-        with self.server.lock:
-            self.server.connections += 1
-            self.server.open += 1
-
-    def finish(self):
-        try:
-            super().finish()
-        finally:
-            with self.server.lock:
-                self.server.open -= 1
-
-    def do_POST(self):
-        server = self.server
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        with server.lock:
-            index = server.requests
-            server.requests += 1
-            server.paths.append(self.path)
-        if index < len(server.stalls) and server.stalls[index]:
-            time.sleep(server.stalls[index])
-            self.close_connection = True
-            return
-        data = json.dumps(chat_payload(server.text)).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def keepalive_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveHandler)
-    server.daemon_threads = True
-    server.lock = threading.Lock()
-    server.connections = server.open = server.requests = 0
-    server.paths = []
-    server.stalls = []
-    server.idle_timeout = None
-    server.text = "ok"
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-    )
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-        server.server_close()
-
-
-@pytest.fixture
-def short_body_server():
-    """A loopback socket that answers every request with a 200 whose
-    ``Content-Length`` claims 50 bytes more than the body it sends, then
-    closes the connection. ``requests`` counts the requests it has read."""
-    listener = socket.create_server(("127.0.0.1", 0))
-    listener.settimeout(0.05)
-    server = SimpleNamespace(server_address=listener.getsockname(), requests=0)
-    stop = threading.Event()
-    data = json.dumps(chat_payload("cut short")).encode()
-    reply = (
-        f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-        f"Content-Length: {len(data) + 50}\r\n\r\n"
-    ).encode() + data
-
-    def serve():
-        while not stop.is_set():
-            try:
-                conn, _ = listener.accept()
-            except socket.timeout:
-                continue
-            with conn:
-                conn.settimeout(5.0)
-                received = b""
-                while b"\r\n\r\n" not in received:
-                    received += conn.recv(65536)
-                head, _, body = received.partition(b"\r\n\r\n")
-                length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
-                while len(body) < length:
-                    body += conn.recv(65536)
-                server.requests += 1
-                conn.sendall(reply)
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        stop.set()
-        thread.join(timeout=5)
-        listener.close()
 
 
 def settles(predicate, timeout: float = 5.0) -> bool:
@@ -203,20 +52,10 @@ def settles(predicate, timeout: float = 5.0) -> bool:
     return True
 
 
-def chat_payload(text: str, prompt_tokens: int = 7, completion_tokens: int = 3):
-    return {
-        "choices": [{"message": {"role": "assistant", "content": text}}],
-        "usage": {
-            "prompt_tokens": prompt_tokens,
-            "completion_tokens": completion_tokens,
-        },
-    }
-
-
 def http_backend(server, **overrides) -> BackendConfig:
     options = {
         "kind": BackendKind.HTTP_CHAT,
-        "endpoint_url": f"http://127.0.0.1:{server.server_address[1]}/v1/chat",
+        "endpoint_url": server.url,
         "model_id": "test-model",
         "max_retries": 2,
         "backoff_base": 0.0,
@@ -408,19 +247,11 @@ class TestScriptedClient:
         # The digest is not stored with the entry.
         assert "prompt_sha256" not in json.loads(cache.entries()[0].read_text())
 
-    def test_given_script_is_not_reloaded(self, tmp_path):
-        script = Script([script_entry("p", "answer")])
-        backend = BackendConfig(
-            kind=BackendKind.SCRIPTED, script_path=str(tmp_path / "absent.json")
-        )
-        client = CompletionClient(backend, script=script)
-        assert client.complete_prompt("p").text == "answer"
-
 
 class TestHttpClient:
     def test_happy_path_and_request_shape(self, chat_server, monkeypatch):
         monkeypatch.setenv("LLM_API_KEY", "sk-test-123")
-        chat_server.responses = [(200, chat_payload("the completion"))]
+        chat_server.replies = [Reply(body=chat_payload("the completion"))]
         client = CompletionClient(http_backend(chat_server))
         response = client.complete_prompt("what is up")
         assert response.text == "the completion"
@@ -447,64 +278,99 @@ class TestHttpClient:
         assert chat_server.requests_seen[0]["auth"] == "Bearer zz"
 
     def test_retries_429_then_succeeds(self, chat_server):
-        chat_server.responses = [(429, {"error": "slow down"}), (200, chat_payload("ok"))]
+        chat_server.replies = [Reply(429, {"error": "slow down"}), Reply()]
         client = CompletionClient(http_backend(chat_server))
         assert client.complete_prompt("x").text == "ok"
         assert len(chat_server.requests_seen) == 2
 
     def test_retries_500_then_succeeds(self, chat_server):
-        chat_server.responses = [(500, {}), (503, {}), (200, chat_payload("ok"))]
+        chat_server.replies = [Reply(500, {}), Reply(503, {}), Reply()]
         client = CompletionClient(http_backend(chat_server))
         assert client.complete_prompt("x").text == "ok"
         assert len(chat_server.requests_seen) == 3
 
     def test_gives_up_after_retry_budget(self, chat_server):
-        chat_server.responses = [(500, {})]
+        chat_server.replies = [Reply(500, {})]
         client = CompletionClient(http_backend(chat_server, max_retries=2))
         with pytest.raises(TransportError, match="after 2 retries"):
             client.complete_prompt("x")
         assert len(chat_server.requests_seen) == 3
 
     def test_client_error_not_retried(self, chat_server):
-        chat_server.responses = [(400, {"error": "bad request"})]
+        chat_server.replies = [Reply(400, {"error": "bad request"})]
         client = CompletionClient(http_backend(chat_server))
         with pytest.raises(TransportError, match="HTTP 400"):
             client.complete_prompt("x")
         assert len(chat_server.requests_seen) == 1
 
     def test_malformed_json_not_retried(self, chat_server):
-        chat_server.responses = [(200, b"this is not json")]
+        chat_server.replies = [Reply(body=b"this is not json")]
         client = CompletionClient(http_backend(chat_server))
         with pytest.raises(MalformedResponseError):
             client.complete_prompt("x")
         assert len(chat_server.requests_seen) == 1
 
     def test_missing_choices_is_malformed(self, chat_server):
-        chat_server.responses = [(200, {"choices": []})]
+        chat_server.replies = [Reply(body={"choices": []})]
         client = CompletionClient(http_backend(chat_server))
         with pytest.raises(MalformedResponseError, match="choices"):
             client.complete_prompt("x")
 
     def test_non_string_content_is_malformed(self, chat_server):
-        chat_server.responses = [
-            (200, {"choices": [{"message": {"content": ["nope"]}}]})
+        chat_server.replies = [
+            Reply(body={"choices": [{"message": {"content": ["nope"]}}]})
         ]
         client = CompletionClient(http_backend(chat_server))
         with pytest.raises(MalformedResponseError, match="not a string"):
             client.complete_prompt("x")
 
-    def test_timeout_retried_then_succeeds(self, keepalive_server):
+    def test_timeout_retried_then_succeeds(self, chat_server):
         # The first request outlasts the client's timeout and is never
         # answered; the threaded server answers the retry at once.
-        keepalive_server.stalls = [0.5]
-        client = CompletionClient(
-            http_backend(keepalive_server, request_timeout=0.2)
-        )
+        chat_server.replies = [Reply(delay=0.5, drop=True), Reply()]
+        client = CompletionClient(http_backend(chat_server, request_timeout=0.2))
         try:
             assert client.complete_prompt("x").text == "ok"
         finally:
             client.close()
-        assert keepalive_server.requests == 2
+        assert chat_server.requests == 2
+
+    def test_reply_closed_without_bytes_is_retried(self, chat_server):
+        chat_server.replies = [Reply(drop=True), Reply()]
+        client = CompletionClient(http_backend(chat_server, max_retries=1))
+        try:
+            assert client.complete_prompt("x").text == "ok"
+        finally:
+            client.close()
+        assert chat_server.requests == 2
+
+    # request_timeout bounds connecting and each wait for the next bytes, not
+    # the whole call: a body dripped in 8-byte chunks arrives whole when each
+    # gap is shorter than the timeout, however long it takes.
+    def test_slow_drip_within_timeout_arrives_whole(self, chat_server):
+        chat_server.replies = [Reply(drip=(8, 0.05))]
+        client = CompletionClient(
+            http_backend(chat_server, request_timeout=0.2, max_retries=0)
+        )
+        started = time.monotonic()
+        try:
+            assert client.complete_prompt("x").text == "ok"
+        finally:
+            client.close()
+        assert time.monotonic() - started > 0.2
+        assert chat_server.requests == 1
+
+    def test_drip_gap_beyond_timeout_fails_the_attempt(self, chat_server):
+        chat_server.replies = [Reply(drip=(8, 0.4))]
+        client = CompletionClient(
+            http_backend(chat_server, request_timeout=0.2, max_retries=1)
+        )
+        try:
+            with pytest.raises(TransportError, match="retries .ConnectionError"):
+                client.complete_prompt("x")
+        finally:
+            client.close()
+        assert chat_server.requests == 2
 
     def test_connection_error_exhausts_budget(self):
         backend = BackendConfig(
@@ -517,34 +383,31 @@ class TestHttpClient:
         with pytest.raises(TransportError, match="ConnectionError"):
             client.complete_prompt("x")
 
-    def test_body_cut_short_is_retried_then_a_transport_error(
-        self, short_body_server
-    ):
-        client = CompletionClient(http_backend(short_body_server, max_retries=2))
+    def test_body_cut_short_is_retried_then_a_transport_error(self, chat_server):
+        chat_server.replies = [Reply(body=chat_payload("cut short"), short=50)]
+        client = CompletionClient(http_backend(chat_server, max_retries=2))
         try:
             with pytest.raises(TransportError, match="ChunkedEncodingError"):
                 client.complete_prompt("x")
         finally:
             client.close()
-        assert short_body_server.requests == 3
+        assert chat_server.requests == 3
 
-    def test_body_cut_short_makes_verify_exit_4(
-        self, short_body_server, tmp_path, capsys
-    ):
+    def test_body_cut_short_makes_verify_exit_4(self, chat_server, tmp_path, capsys):
+        chat_server.replies = [Reply(body=chat_payload("cut short"), short=50)]
         config = tmp_path / "config.json"
         config.write_text(
             json.dumps({"max_retries": 2, "backoff_base": 0.0}), encoding="utf-8"
         )
         evidence = tmp_path / "evidence.json"
         evidence.write_text(json.dumps(["Some evidence."]), encoding="utf-8")
-        port = short_body_server.server_address[1]
         code = main(
             [
                 "verify",
                 "--claim", "Anything.",
                 "--evidence", str(evidence),
                 "--backend", "http",
-                "--endpoint", f"http://127.0.0.1:{port}/v1/chat",
+                "--endpoint", chat_server.url,
                 "--config", str(config),
                 "--cache-dir", str(tmp_path / "cache"),
             ]
@@ -553,8 +416,8 @@ class TestHttpClient:
         assert "backend error" in capsys.readouterr().err
 
     def test_missing_usage_defaults_to_zero(self, chat_server):
-        chat_server.responses = [
-            (200, {"choices": [{"message": {"content": "ok"}}]})
+        chat_server.replies = [
+            Reply(body={"choices": [{"message": {"content": "ok"}}]})
         ]
         client = CompletionClient(http_backend(chat_server))
         response = client.complete_prompt("x")
@@ -563,7 +426,7 @@ class TestHttpClient:
 
     def test_http_responses_are_cached(self, chat_server, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
-        chat_server.responses = [(200, chat_payload("cached answer"))]
+        chat_server.replies = [Reply(body=chat_payload("cached answer"))]
         client = CompletionClient(http_backend(chat_server), cache=cache)
         client.complete_prompt("x")
         again = client.complete_prompt("x")
@@ -573,20 +436,20 @@ class TestHttpClient:
 
 
 class TestKeepAlive:
-    def test_sequential_calls_share_one_connection(self, keepalive_server):
-        client = CompletionClient(http_backend(keepalive_server))
+    def test_sequential_calls_share_one_connection(self, chat_server):
+        client = CompletionClient(http_backend(chat_server))
         try:
             for n in range(5):
                 assert client.complete_prompt(f"prompt {n}").text == "ok"
         finally:
             client.close()
-        assert keepalive_server.requests == 5
-        assert keepalive_server.connections == 1
-        assert settles(lambda: keepalive_server.open == 0)
+        assert chat_server.requests == 5
+        assert chat_server.connections == 1
+        assert settles(lambda: chat_server.open == 0)
 
-    def test_each_thread_keeps_its_own_connection(self, keepalive_server):
+    def test_each_thread_keeps_its_own_connection(self, chat_server):
         threads, calls = 8, 3
-        client = CompletionClient(http_backend(keepalive_server))
+        client = CompletionClient(http_backend(chat_server))
         errors = []
 
         def caller(n):
@@ -611,48 +474,48 @@ class TestKeepAlive:
             sys.setswitchinterval(interval)
             client.close()
         assert errors == []
-        assert client.request_count == keepalive_server.requests == threads * calls
-        assert keepalive_server.connections == threads
-        assert settles(lambda: keepalive_server.open == 0)
+        assert client.request_count == chat_server.requests == threads * calls
+        assert chat_server.connections == threads
+        assert settles(lambda: chat_server.open == 0)
 
     def test_idle_connection_closed_by_server_costs_no_attempt(
-        self, keepalive_server
+        self, chat_server
     ):
-        keepalive_server.idle_timeout = 0.01
+        chat_server.idle_timeout = 0.01
         # No retries: a call on the dropped connection would fail outright.
-        client = CompletionClient(http_backend(keepalive_server, max_retries=0))
+        client = CompletionClient(http_backend(chat_server, max_retries=0))
         try:
             assert client.complete_prompt("first").text == "ok"
             time.sleep(0.05)
             assert client.complete_prompt("second").text == "ok"
         finally:
             client.close()
-        assert keepalive_server.requests == 2
-        assert keepalive_server.connections == 2
+        assert chat_server.requests == 2
+        assert chat_server.connections == 2
 
     def test_proxy_from_environment_is_honoured(
-        self, keepalive_server, monkeypatch
+        self, chat_server, monkeypatch
     ):
         url = "http://claimpipe.invalid/v1/chat"
-        client = CompletionClient(http_backend(keepalive_server, endpoint_url=url))
+        client = CompletionClient(http_backend(chat_server, endpoint_url=url))
         # Set after construction: the environment is read at the first call.
         for name in ("NO_PROXY", "no_proxy", "http_proxy"):
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv(
-            "HTTP_PROXY", f"http://127.0.0.1:{keepalive_server.server_address[1]}"
+            "HTTP_PROXY", f"http://127.0.0.1:{chat_server.server_address[1]}"
         )
         try:
             assert client.complete_prompt("x").text == "ok"
         finally:
             client.close()
-        assert keepalive_server.paths == [url]
+        assert chat_server.paths == [url]
 
     def test_connections_closed_when_the_run_ends(
-        self, keepalive_server, prompt_library
+        self, chat_server, prompt_library
     ):
         # One answer serves every stage, as in TestTokenTotalsIgnoreCache.
-        keepalive_server.text = "alpha, beta."
-        backend = http_backend(keepalive_server)
+        chat_server.replies = [Reply(body=chat_payload("alpha, beta."))]
+        backend = http_backend(chat_server)
         config = PipelineConfig(
             abstraction_backend=backend, verification_backend=backend
         )
@@ -667,15 +530,47 @@ class TestKeepAlive:
         ]
         report = run_eval(instances, config, prompt_library, workers=2)
         assert report.counts.error_count == 0
-        assert keepalive_server.connections < keepalive_server.requests
-        assert settles(lambda: keepalive_server.open == 0)
+        assert chat_server.connections < chat_server.requests
+        assert settles(lambda: chat_server.open == 0)
 
         with open_verifier(config, prompt_library) as verifier:
             verifier.verify_claim(instances[0])
-            assert keepalive_server.open > 0
+            assert chat_server.open > 0
         # Closed by leaving the block, while the verifier is still referenced.
-        assert settles(lambda: keepalive_server.open == 0)
+        assert settles(lambda: chat_server.open == 0)
         assert verifier.abstraction_client.request_count > 0
+
+
+class TestTls:
+    @pytest.fixture
+    def tls_server(self, monkeypatch):
+        for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+            monkeypatch.delenv(name, raising=False)
+        with serve(tls=True) as server:
+            yield server
+
+    @pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"])
+    def test_ca_bundle_from_environment_is_trusted(
+        self, tls_server, monkeypatch, variable
+    ):
+        monkeypatch.setenv(variable, str(CA))
+        client = CompletionClient(http_backend(tls_server))
+        try:
+            assert client.complete_prompt("x").text == "ok"
+        finally:
+            client.close()
+        assert tls_server.requests == 1
+
+    def test_unknown_certificate_fails_at_once(self, tls_server):
+        client = CompletionClient(http_backend(tls_server, max_retries=3))
+        try:
+            with pytest.raises(TransportError, match="SSLError") as info:
+                client.complete_prompt("x")
+        finally:
+            client.close()
+        assert "gave up" not in str(info.value)
+        assert settles(lambda: tls_server.open == 0)
+        assert (tls_server.connections, tls_server.requests) == (1, 0)
 
 
 class TestRetryDelay:
@@ -700,13 +595,15 @@ class TestRetryDelay:
 
 
 class TestRetryAfterOverHttp:
-    @pytest.mark.parametrize("status, honoured", [(429, True), (500, False)])
-    def test_retry_after_honoured_on_429_only_of_these(
+    @pytest.mark.parametrize(
+        "status, honoured", [(429, True), (500, False), (503, True)]
+    )
+    def test_retry_after_honoured_on_429_and_503_only(
         self, chat_server, status, honoured
     ):
-        chat_server.responses = [
-            (status, {"error": "slow down"}, {"Retry-After": "1"}),
-            (200, chat_payload("ok")),
+        chat_server.replies = [
+            Reply(status, {"error": "slow down"}, {"Retry-After": "1"}),
+            Reply(),
         ]
         # backoff_base 0: any wait comes from the header.
         client = CompletionClient(http_backend(chat_server))
@@ -723,7 +620,7 @@ class TestTokenTotalsIgnoreCache:
     ):
         # One answer serves every stage: two keywords, a summary, a one-part
         # claim and a verdict that abstains.
-        chat_server.responses = [(200, chat_payload("alpha, beta."))]
+        chat_server.replies = [Reply(body=chat_payload("alpha, beta."))]
         backend = http_backend(chat_server)
         config = PipelineConfig(
             abstraction_backend=backend, verification_backend=backend
