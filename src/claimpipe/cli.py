@@ -192,6 +192,12 @@ def _merge_options(args: argparse.Namespace) -> dict:
             effective[key] = value
     if effective["workers"] < 1:
         raise ConfigError("workers must be >= 1")
+    for key in ("out", "cache_dir"):
+        # Checked now, not when the first output is written after the calls.
+        path = Path(effective[key] or ".")
+        existing = next(place for place in (path, *path.parents) if place.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"{key} must be a directory, and {existing} is not one")
     return effective
 
 
@@ -369,21 +375,12 @@ _HANDLERS = {
 }
 
 
-def _backend_in_chain(exc: BaseException, kind: type = BackendError) -> bool:
-    seen: BaseException | None = exc
-    while seen is not None:
-        if isinstance(seen, kind):
-            return True
-        seen = seen.__cause__
-    return False
-
-
 def _outage_status(reports: list[EvalReport]) -> int:
     """4 when a transport fault failed every claim of the run, else 0; a
     scripted miss or a malformed reply stays one claim's failure."""
     failures = [exc for report in reports for exc in report.failures]
     if len(failures) < sum(len(report.rows) for report in reports) or not all(
-        _backend_in_chain(exc, TransportError) for exc in failures
+        isinstance(exc.__cause__, TransportError) for exc in failures
     ):
         return 0
     print(f"backend error: every claim failed, first: {failures[0]}", file=sys.stderr)
@@ -400,11 +397,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except BackendError as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return 4
-    except PipelineError as exc:
-        if _backend_in_chain(exc):
+    except (BackendError, PipelineError) as exc:
+        # A backend fault that failed a claim is its error's direct cause.
+        if isinstance(exc, BackendError) or isinstance(exc.__cause__, BackendError):
             print(f"backend error: {exc}", file=sys.stderr)
             return 4
         print(f"pipeline error: {exc}", file=sys.stderr)

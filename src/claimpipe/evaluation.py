@@ -8,7 +8,8 @@ interpreter lock, where more threads only queue for the lock.
 
 A claim whose pipeline run fails is scored as predicted False and counted in
 ``error_count``; evaluation never dies on one bad claim. Per-claim traces are
-written as claims finish, so an interrupted run keeps what it has done.
+written as claims finish, so an interrupted run keeps what it has done. It
+starts no further claim, and ends once the claims in flight have ended.
 """
 from __future__ import annotations
 
@@ -304,7 +305,8 @@ def run_eval(
             for position, instance in enumerate(instances):
                 finish(position, *_evaluate_one(verifier, instance))
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            pool = ThreadPoolExecutor(max_workers=workers)
+            try:
                 pending = {
                     pool.submit(_evaluate_one, verifier, instance): position
                     for position, instance in enumerate(instances)
@@ -312,6 +314,10 @@ def run_eval(
                 # Popped so that each finished claim's report is freed.
                 for future in as_completed(pending):
                     finish(pending.pop(future), *future.result())
+            finally:
+                # A run left early (Ctrl-C, a failed trace write) waits only
+                # for the claims already started; the queued ones never start.
+                pool.shutdown(cancel_futures=True)
         elapsed = time.monotonic() - started
     # Equal backends share one client, counted once.
     clients = {verifier.abstraction_client, verifier.verification_client}

@@ -10,6 +10,10 @@ claim's trace, so a finished report carries the full prompt/response history
 in canonical order: extraction, summaries by piece, deconstruction,
 verifications by subclaim index. On HTTP backends the calls that do not
 depend on each other run concurrently, in whatever order they finish.
+
+A failure names its stage where it happens: ``ClaimVerifier._call`` raises
+a failed render or completion as a PipelineError of its stage, caused by the
+original error, and each parser names its own stage.
 """
 from __future__ import annotations
 
@@ -368,8 +372,8 @@ def aggregate(results: list[SubclaimResult] | tuple[SubclaimResult, ...]) -> Ver
     return Verdict.TRUE
 
 
-# A stage name and a zero-argument function that runs one stage method.
-Call = tuple[str, Callable[[], object]]
+# A zero-argument function that runs one stage method.
+Call = Callable[[], object]
 
 # A claim's trace keys each entry by (its stage's rank, piece or subclaim
 # index), and lists the entries sorted by key.
@@ -399,6 +403,8 @@ class ClaimVerifier:
     deconstruction runs beside keyword extraction. Without one, every call
     runs in order on the calling thread. Either way results are read in
     canonical order, so the first failure in that order is the one raised.
+    Each stage method makes its model call through ``_call``, the one place
+    where a call's failure gets its stage.
     """
 
     def __init__(
@@ -419,13 +425,18 @@ class ClaimVerifier:
         self,
         client: CompletionClient,
         stage: str,
-        prompt: str,
+        render: Callable[[], str],
         trace: Trace,
         index: int = 0,
     ) -> TraceEntry:
-        """Complete ``prompt`` and store its entry at its place in ``trace``.
-        The calls of a claim store distinct places, from any thread."""
-        response = client.complete_prompt(prompt)
+        """Render this call's prompt, complete it and store its entry at its
+        place in ``trace``. The calls of a claim store distinct places, from
+        any thread. A failure of either step is raised as a PipelineError
+        that names ``stage`` and is caused by the original error."""
+        try:
+            response = client.complete_prompt(render())
+        except Exception as exc:
+            raise PipelineError(str(exc), stage=stage) from exc
         entry = TraceEntry(
             stage=stage, prompt_sha256=response.prompt_sha256, response=response.text
         )
@@ -433,8 +444,8 @@ class ClaimVerifier:
         return entry
 
     def extract_keywords(self, claim: str, trace: Trace) -> list[str]:
-        prompt = self.prompts.render_keyword_extraction(claim)
-        entry = self._call(self.abstraction_client, "keyword_extraction", prompt, trace)
+        render = partial(self.prompts.render_keyword_extraction, claim)
+        entry = self._call(self.abstraction_client, "keyword_extraction", render, trace)
         return parse_keyword_list(entry.response)
 
     def abstract_evidence(
@@ -448,10 +459,12 @@ class ClaimVerifier:
         keywords = keyword_set.keywords()
         if len(keywords) < self.config.min_keywords_for_summary:
             return None
-        prompt = self.prompts.render_evidence_summarization(evidence.text, keywords)
+        render = partial(
+            self.prompts.render_evidence_summarization, evidence.text, keywords
+        )
         index = keyword_set.evidence_index
         entry = self._call(
-            self.abstraction_client, "evidence_summarization", prompt, trace, index
+            self.abstraction_client, "evidence_summarization", render, trace, index
         )
         return AbstractedEvidence(
             source_index=index, text=entry.response.strip(), keywords=keywords
@@ -460,17 +473,19 @@ class ClaimVerifier:
     def summarize_with_claim(
         self, evidence: EvidencePiece, claim: str, source_index: int, trace: Trace
     ) -> AbstractedEvidence:
-        prompt = self.prompts.render_claim_guided_summarization(evidence.text, claim)
+        render = partial(
+            self.prompts.render_claim_guided_summarization, evidence.text, claim
+        )
         stage = "claim_guided_summarization"
-        entry = self._call(self.abstraction_client, stage, prompt, trace, source_index)
+        entry = self._call(self.abstraction_client, stage, render, trace, source_index)
         return AbstractedEvidence(
             source_index=source_index, text=entry.response.strip(), keywords=()
         )
 
     def deconstruct_claim(self, claim: str, trace: Trace) -> list[Subclaim]:
-        prompt = self.prompts.render_claim_deconstruction(claim)
+        render = partial(self.prompts.render_claim_deconstruction, claim)
         entry = self._call(
-            self.verification_client, "claim_deconstruction", prompt, trace
+            self.verification_client, "claim_deconstruction", render, trace
         )
         return parse_subclaims(entry.response)
 
@@ -482,17 +497,19 @@ class ClaimVerifier:
         claim: str,
         trace: Trace,
     ) -> SubclaimResult:
-        block = format_evidence_block(
-            [a.text for a in abstracted], [e.text for e in raw]
-        )
-        prompt = self.prompts.render_subclaim_verification(
-            block,
-            subclaim.text,
-            claim=claim,
-            with_context=self.config.with_claim_context,
-        )
+        def render() -> str:
+            block = format_evidence_block(
+                [a.text for a in abstracted], [e.text for e in raw]
+            )
+            return self.prompts.render_subclaim_verification(
+                block,
+                subclaim.text,
+                claim=claim,
+                with_context=self.config.with_claim_context,
+            )
+
         stage, index = "subclaim_verification", subclaim.index
-        entry = self._call(self.verification_client, stage, prompt, trace, index)
+        entry = self._call(self.verification_client, stage, render, trace, index)
         verdict, abstained = parse_verdict_answer(entry.response)
         return SubclaimResult(
             subclaim=subclaim,
@@ -502,43 +519,39 @@ class ClaimVerifier:
         )
 
     def _start(self, calls: list[Call], started: list[Future]) -> list[Call]:
-        """Start ``calls``; each comes back paired with a function that
-        returns its result. With an executor, each is submitted now and its
-        future added to ``started``, which the claim waits for before it ends.
-        Without one, they come back unchanged: each runs when its result is
-        read, so the caller's first failure or stop skips the rest."""
+        """Start ``calls``; each comes back as a function that returns its
+        result. With an executor, each is submitted now and its future added
+        to ``started``, which the claim waits for before it ends. Without one,
+        they come back unchanged: each runs when its result is read, so the
+        caller's first failure or stop skips the rest."""
         if self.executor is None:
             return calls
-        futures = [(stage, self.executor.submit(call)) for stage, call in calls]
-        started.extend(future for _, future in futures)
-        return [(stage, future.result) for stage, future in futures]
+        futures = [self.executor.submit(call) for call in calls]
+        started.extend(futures)
+        return [future.result for future in futures]
 
     def verify_claim(self, instance: ClaimInstance) -> VerificationReport:
         plan = PLANS[self.config.ablation]
         claim = instance.claim
-        stage = "input"
         trace: Trace = {}
         started: list[Future] = []
         keywords: list[str] = []
         keyword_sets: list[KeywordSet] = []
         try:
             if not claim.strip():
-                raise PipelineError("claim text is empty")
+                raise PipelineError("claim text is empty", stage="input")
             if not instance.evidence:
-                raise PipelineError("instance has no evidence")
+                raise PipelineError("instance has no evidence", stage="input")
             # The deconstruction needs only the claim, so it starts first;
             # its result is read after the summaries.
             deconstruct = partial(self.deconstruct_claim, claim, trace)
             deconstruction = self._start(
-                [("claim_deconstruction", deconstruct)] if plan.deconstruct else [],
-                started,
+                [deconstruct] if plan.deconstruct else [], started
             )
 
             calls: list[Call] = []
             if plan.abstraction == "keyword":
-                stage = "keyword_extraction"
                 keywords = self.extract_keywords(claim, trace)
-                stage = "keyword_selection"
                 keyword_sets = [
                     select_keywords(
                         keywords,
@@ -556,56 +569,47 @@ class ClaimVerifier:
                 ]
                 abstract = partial(self.abstract_evidence, trace=trace)
                 calls = [
-                    ("evidence_summarization", partial(abstract, piece, keyword_set))
+                    partial(abstract, piece, keyword_set)
                     for piece, keyword_set in zip(instance.evidence, keyword_sets)
                 ]
             elif plan.abstraction == "claim":
                 summarize = partial(self.summarize_with_claim, claim=claim, trace=trace)
                 calls = [
-                    (
-                        "claim_guided_summarization",
-                        partial(summarize, piece, source_index=index),
-                    )
+                    partial(summarize, piece, source_index=index)
                     for index, piece in enumerate(instance.evidence)
                 ]
             abstracted: list[AbstractedEvidence] = []
-            for stage, summarized in self._start(calls, started):
+            for summarized in self._start(calls, started):
                 summary = summarized()
                 if summary is not None:
                     abstracted.append(summary)
             subclaims = [Subclaim(index=1, text=claim)]
-            for stage, deconstructed in deconstruction:
+            for deconstructed in deconstruction:
                 subclaims = deconstructed()
 
             raw = list(instance.evidence) if plan.raw_evidence else []
             verify = partial(
                 self.verify_subclaim, abstracted=abstracted, raw=raw, claim=claim
             )
-            calls = [
-                ("subclaim_verification", partial(verify, subclaim, trace=trace))
-                for subclaim in subclaims
-            ]
+            calls = [partial(verify, subclaim, trace=trace) for subclaim in subclaims]
             short_circuit = self.config.short_circuit
             if not short_circuit:
                 # Under short_circuit the verifications stay one at a time.
                 calls = self._start(calls, started)
             results: list[SubclaimResult] = []
-            for stage, verified in calls:
+            for verified in calls:
                 result = verified()
                 results.append(result)
                 if short_circuit and result.verdict is Verdict.FALSE:
                     break
-
-            stage = "aggregate"
             final = aggregate(results)
         except PipelineError as exc:
-            if exc.stage is None:
-                exc.stage = stage
             if exc.claim_id is None:
                 exc.claim_id = instance.id
             raise
         except Exception as exc:
-            raise PipelineError(str(exc), stage=stage, claim_id=instance.id) from exc
+            # An error no stage foresaw still fails this claim alone.
+            raise PipelineError(str(exc), claim_id=instance.id) from exc
         finally:
             # However the claim ends, no call it started outlives it.
             wait(started)

@@ -35,6 +35,16 @@ class PromptTask(str, Enum):
 
 _TASK_NAMES = frozenset(task.value for task in PromptTask)
 
+# The slots each task's renderer fills. Its template may also hold
+# ``{{examples}}``, filled from the task's few-shot examples.
+_RENDERED_SLOTS = {
+    PromptTask.KEYWORD_EXTRACTION: {"claim"},
+    PromptTask.EVIDENCE_SUMMARIZATION: {"evidence", "keywords"},
+    PromptTask.CLAIM_GUIDED_SUMMARIZATION: {"evidence", "claim"},
+    PromptTask.CLAIM_DECONSTRUCTION: {"claim"},
+    PromptTask.SUBCLAIM_VERIFICATION: {"evidence", "claim_context", "subclaim"},
+}
+
 
 @dataclass(frozen=True)
 class FewShotExample:
@@ -144,9 +154,17 @@ class PromptLibrary:
             if not path.exists():
                 raise PromptError(f"missing template file: {path}")
             body = path.read_text(encoding="utf-8").rstrip("\n")
-            templates[task] = PromptTemplate(
+            template = templates[task] = PromptTemplate(
                 task=task, body=body, examples=examples.get(task.value, [])
             )
+            # Checked now: a template with other slots would fail every render.
+            found, expected = template.slots() - {"examples"}, _RENDERED_SLOTS[task]
+            if found != expected:
+                raise PromptError(
+                    f"{path}: expected the slots {sorted(expected)} and optionally "
+                    f"'examples'; unknown {sorted(found - expected)}, "
+                    f"missing {sorted(expected - found)}"
+                )
         return cls(templates=templates, directory=base)
 
     def template(self, task: PromptTask) -> PromptTemplate:

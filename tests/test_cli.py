@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from chatfake import serve
 from conftest import write_regex_script
 from fixture_six import CLAIMS
 from claimpipe import cli
@@ -911,6 +912,83 @@ class TestMalformedExamples:
         assert "config error" in err
         assert named in err
         assert not (tmp_path / "cache").exists()
+
+
+class TestRejectedBeforeAnyCall:
+    # A template holds exactly the slots its renderer fills; ``{{examples}}``
+    # is optional.
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("{{claim}}", "{{claimz}}", "unknown ['claimz'], missing ['claim']"),
+            ("{{claim}}", "{{claim}} {{extra}}", "unknown ['extra'], missing []"),
+            ("{{claim}}", "the claim", "unknown [], missing ['claim']"),
+        ],
+        ids=["renamed-slot", "added-slot", "dropped-slot"],
+    )
+    def test_template_with_other_slots(
+        self, six_bundle, tmp_path, capsys, old, new, named
+    ):
+        packaged = cli.PromptLibrary.load().directory
+        prompts_dir = tmp_path / "prompts"
+        shutil.copytree(
+            packaged, prompts_dir, ignore=shutil.ignore_patterns("*.py", "__pycache__")
+        )
+        template = prompts_dir / "keyword_extraction.txt"
+        template.write_text(
+            template.read_text(encoding="utf-8").replace(old, new), encoding="utf-8"
+        )
+        code = main(
+            [
+                "eval",
+                "--data-path", str(six_bundle.dataset_path),
+                "--prompts-dir", str(prompts_dir),
+                "--out", str(tmp_path / "out"),
+                *scripted_args(six_bundle.script_path, tmp_path / "cache"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {template}" in err
+        assert named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize(
+        "flag, key", [("--out", "out"), ("--cache-dir", "cache_dir")]
+    )
+    @pytest.mark.parametrize("command", ["eval", "ablate", "verify"])
+    def test_unusable_directory(
+        self, tmp_path, capsys, command, flag, key, under_file
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("x", encoding="utf-8")
+        paths = {
+            "--out": tmp_path / "out",
+            "--cache-dir": tmp_path / "cache",
+            flag: blocker / "sub" if under_file else blocker,
+        }
+        flags = [part for name, path in paths.items() for part in (name, str(path))]
+        if command == "verify":
+            evidence = spam_evidence_file(tmp_path)
+            inputs = ["--claim", "Anything.", "--evidence", str(evidence)]
+        else:
+            inputs = ["--data-path", str(tiny_dataset_file(tmp_path))]
+        with serve() as chat:
+            code = main(
+                [
+                    command,
+                    *inputs,
+                    "--backend", "http",
+                    "--endpoint", chat.url,
+                    *flags,
+                ]
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"config error: {key} must be a directory, and {blocker}" in err
+        assert chat.requests == 0
 
 
 class TestOutputFiles:

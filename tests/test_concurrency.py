@@ -14,10 +14,17 @@ import pytest
 
 import fixture_six
 from chatfake import Reply, chat_payload, serve
-from conftest import fixture_instances, scripted_config, six_claim_script_entries
+from conftest import (
+    REGEX_SCRIPT_ENTRIES,
+    fixture_instances,
+    scripted_config,
+    six_claim_script_entries,
+)
+from claimpipe import evaluation
 from claimpipe.evaluation import run_eval
 from claimpipe.llm import (
     BackendConfig,
+    BackendError,
     BackendKind,
     CompletionClient,
     ResponseCache,
@@ -25,9 +32,13 @@ from claimpipe.llm import (
     prompt_sha256,
 )
 from claimpipe.pipeline import (
+    Ablation,
+    ClaimInstance,
     ClaimVerifier,
+    EvidencePiece,
     PipelineConfig,
     PipelineError,
+    Verdict,
     open_verifier,
 )
 
@@ -238,8 +249,13 @@ class TestEarlyDeconstruction:
         [
             (("extract", 0.0), "deconstruct", "keyword_extraction"),
             (("summary", 4 * DELAY_S), None, "evidence_summarization"),
+            (("deconstruct", 0.0), "extract", "claim_deconstruction"),
         ],
-        ids=["extraction-fails", "summary-fails-after-deconstruction"],
+        ids=[
+            "extraction-fails",
+            "summary-fails-after-deconstruction",
+            "deconstruction-fails",
+        ],
     )
     def test_first_failure_in_canonical_order_wins(
         self, chat, prompt_library, failing, slow, stage
@@ -282,3 +298,81 @@ class TestEarlyDeconstruction:
             inline.verify_claim(instances[position])
         assert str(inline_info.value) == str(info.value)
         client.close()
+
+
+class TestStageAttribution:
+    INSTANCE = ClaimInstance(
+        id="one",
+        claim="Alpha beta gamma.",
+        evidence=(EvidencePiece("Alpha beta delta."), EvidencePiece("Gamma epsilon.")),
+        gold_label=Verdict.TRUE,
+    )
+
+    # (variant, texts that together mark the one failing prompt, the stage). The
+    # regex script deconstructs every claim into "First part." and "Second
+    # part.", so the second verification fails while the first succeeds.
+    @pytest.mark.parametrize(
+        "ablation, failing, stage",
+        [
+            (Ablation.NONE, ("(Yes or No)", "Second part."), "subclaim_verification"),
+            (
+                Ablation.NO_KEYWORD_GUIDANCE,
+                ("based on a given claim", "Gamma epsilon."),
+                "claim_guided_summarization",
+            ),
+        ],
+        ids=["one-verification", "no-keyword-summary"],
+    )
+    def test_a_call_failing_alone_names_its_stage(
+        self, chat, prompt_library, ablation, failing, stage
+    ):
+        script = Script(REGEX_SCRIPT_ENTRIES)
+
+        def answer(prompt: str) -> Reply:
+            if all(mark in prompt for mark in failing):
+                return Reply(400, {"error": "injected failure"})
+            return Reply(body=chat_payload(script.lookup(prompt), 5, 2))
+
+        chat.answer = answer
+        config = http_config(chat, ablation=ablation)
+        report = run_eval([self.INSTANCE], config, prompt_library)
+        assert chat.inflight["all"] == 0
+        (pooled,) = report.failures
+        assert pooled.stage == stage
+        assert isinstance(pooled.__cause__, BackendError)
+
+        client = CompletionClient(config.verification_backend)
+        inline = ClaimVerifier(config, prompt_library, client, client)
+        with pytest.raises(PipelineError) as info:
+            inline.verify_claim(self.INSTANCE)
+        client.close()
+        assert info.value.stage == stage
+        assert isinstance(info.value.__cause__, BackendError)
+        assert report.rows[0].error_message == str(info.value)
+
+
+class TestEarlyExit:
+    def test_failed_trace_write_starts_no_further_claim(
+        self, chat, prompt_library, tmp_path, monkeypatch
+    ):
+        def failing_write(path, payload):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(evaluation, "write_json", failing_write)
+        workers = 1
+        with pytest.raises(OSError, match="disk full"):
+            run_eval(
+                fixture_instances(),
+                http_config(chat),
+                prompt_library,
+                workers=workers,
+                trace_dir=tmp_path / "traces",
+            )
+        assert chat.inflight["all"] == 0
+        # The claim whose trace failed, plus those its workers had already
+        # picked up; the other claims never start.
+        extractions = [
+            seen for seen in chat.requests_seen
+            if MARKS["extract"] in seen["body"]["messages"][0]["content"]
+        ]
+        assert len(extractions) <= 1 + workers

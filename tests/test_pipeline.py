@@ -15,6 +15,7 @@ from conftest import (
     scripted_config,
     write_regex_script,
 )
+from claimpipe import pipeline
 from claimpipe.fuzzy import partial_ratio, preprocess
 from claimpipe.llm import CompletionClient, Script, ScriptedMissError, prompt_sha256
 from claimpipe.pipeline import (
@@ -495,6 +496,20 @@ class TestErrorAnnotation:
         with pytest.raises(PipelineError) as info:
             verifier.verify_claim(TINY)
         assert info.value.stage == "subclaim_verification"
+
+
+    def test_unforeseen_error_fails_the_claim_alone(
+        self, tmp_path, prompt_library, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, "select_keywords", broken)
+        verifier, _ = make_verifier(tmp_path, prompt_library)
+        with pytest.raises(PipelineError) as info:
+            verifier.verify_claim(TINY)
+        assert str(info.value) == "[claim tiny-1] boom"
+        assert isinstance(info.value.__cause__, RuntimeError)
 
 
 class TestOpenVerifier:
