@@ -355,15 +355,15 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     options = _merge_options(args)
-    cache = ResponseCache(options["cache_dir"])
-    entries = cache.entries()
-    total_bytes = sum(path.stat().st_size for path in entries)
-    print(f"cache dir: {cache.directory}")
-    print(f"entries: {len(entries)}")
-    print(f"bytes: {total_bytes}")
+    directory = Path(options["cache_dir"])
+    # Opening a cache creates its directory; a missing one reads as empty.
+    cache = ResponseCache(directory) if directory.is_dir() else None
+    files = cache.files() if cache else []
+    print(f"cache dir: {directory}")
+    print(f"entries: {len(cache.entries()) if cache else 0}")
+    print(f"bytes: {sum(path.stat().st_size for path in files)}")
     if options["clear"]:
-        removed = cache.clear()
-        print(f"removed: {removed}")
+        print(f"removed: {cache.clear() if cache else 0}")
     return 0
 
 

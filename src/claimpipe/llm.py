@@ -1,9 +1,11 @@
 """Completion backends: an HTTP chat endpoint and a deterministic script.
 
 Every completion is addressed by a content hash of (model, prompt, sampling
-parameters), which doubles as the on-disk cache key. The scripted backend maps
-prompt hashes (or regexes over prompt text) to canned responses and is the
-basis for all offline tests.
+parameters), which doubles as the cache key. ``ResponseCache`` appends
+completions to segment files and serves them from an index built in memory
+when it is opened, so a put creates no file and a get reads none. The
+scripted backend maps prompt hashes (or regexes over prompt text) to canned
+responses and is the basis for all offline tests.
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ import json
 import os
 import random
 import re
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -153,61 +154,155 @@ def cache_key(request: CompletionRequest) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+_SEGMENT_SUFFIX = ".jsonl"
+_LEGACY_SUFFIX = ".json"
+# Left by an interrupted put of the one-file-per-entry format.
+_ORPHAN_SUFFIX = ".tmp"
+
+
+def _cached_response(
+    text: object, prompt_tokens: object, completion_tokens: object
+) -> CompletionResponse | None:
+    """A hit built from stored fields, or None when ``text`` is not a string
+    or a token count is not a number."""
+    if not isinstance(text, str):
+        return None
+    try:
+        return CompletionResponse(
+            text=text,
+            prompt_tokens=int(prompt_tokens),
+            completion_tokens=int(completion_tokens),
+            cached=True,
+        )
+    except (ValueError, TypeError):
+        return None
+
+
 class ResponseCache:
-    """One JSON file per completion, written atomically (tmp then rename)."""
+    """Append-only completion cache in one directory. Thread-safe.
+
+    Each instance appends to its own segment, ``<time_ns>-<pid>.jsonl``,
+    created on its first put. A put writes one line, ``[key, text,
+    prompt_tokens, completion_tokens]``, with one ``write``. Opening the
+    cache creates the directory and indexes every segment in name order,
+    keeping the first valid line of each key, so a cached response never
+    changes under a later run. A torn or corrupt line is a miss, and the
+    fresh completion is appended. Legacy ``<key>.json`` files (the
+    one-file-per-entry format) are noted at open and read on lookup. Entries
+    that another instance writes become visible when the cache is next
+    opened.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._segment: Path | None = None
+        self._index: dict[str, CompletionResponse] = {}
+        self._legacy: set[str] = set()
+        segments = []
+        with os.scandir(self.directory) as listing:
+            for item in listing:
+                if item.name.endswith(_SEGMENT_SUFFIX):
+                    segments.append(item.name)
+                elif item.name.endswith(_LEGACY_SUFFIX):
+                    self._legacy.add(item.name[: -len(_LEGACY_SUFFIX)])
+        for name in sorted(segments):
+            self._index_segment(self.directory / name)
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    def _index_segment(self, path: Path) -> None:
+        try:
+            with open(path, "rb") as fh:
+                for line in fh:
+                    try:
+                        entry = json.loads(line)
+                    except ValueError:
+                        continue
+                    if (
+                        isinstance(entry, list)
+                        and len(entry) == 4
+                        and isinstance(entry[0], str)
+                        and entry[0] not in self._index
+                    ):
+                        response = _cached_response(*entry[1:])
+                        if response is not None:
+                            self._index[entry[0]] = response
+        except OSError:
+            pass  # An unreadable segment is all misses.
 
-    def get(self, key: str) -> CompletionResponse | None:
-        path = self._path(key)
+    def _read_legacy(self, key: str) -> CompletionResponse | None:
+        path = self.directory / f"{key}{_LEGACY_SUFFIX}"
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-            text = data["text"]
-            if not isinstance(text, str):
-                return None
-            return CompletionResponse(
-                text=text,
-                prompt_tokens=int(data.get("prompt_tokens", 0)),
-                completion_tokens=int(data.get("completion_tokens", 0)),
-                cached=True,
+            return _cached_response(
+                data["text"],
+                data.get("prompt_tokens", 0),
+                data.get("completion_tokens", 0),
             )
         except (OSError, ValueError, KeyError, TypeError):
-            # Unreadable, truncated or corrupt entries count as misses, so
-            # the next put replaces them.
             return None
 
-    def put(self, key: str, response: CompletionResponse) -> None:
-        payload = {
-            "text": response.text,
-            "prompt_tokens": response.prompt_tokens,
-            "completion_tokens": response.completion_tokens,
-        }
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, ensure_ascii=False)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+    def get(self, key: str) -> CompletionResponse | None:
+        response = self._index.get(key)
+        if response is None and key in self._legacy:
+            response = self._read_legacy(key)
+        return response
 
-    def entries(self) -> list[Path]:
-        return sorted(self.directory.glob("*.json"))
+    def put(self, key: str, response: CompletionResponse) -> None:
+        """Append ``response`` under ``key``, unless this instance already
+        holds an entry for it (the first one wins, as at the next open)."""
+        line = json.dumps(
+            [key, response.text, response.prompt_tokens, response.completion_tokens],
+            ensure_ascii=False,
+        )
+        data = f"{line}\n".encode("utf-8")
+        with self._lock:
+            if key in self._index:
+                return
+            flags = os.O_WRONLY | os.O_APPEND
+            if self._segment is None:
+                flags |= os.O_CREAT | os.O_EXCL
+                name = f"{time.time_ns()}-{os.getpid()}{_SEGMENT_SUFFIX}"
+                segment = self.directory / name
+            else:
+                segment = self._segment
+            fd = os.open(segment, flags, 0o644)
+            try:
+                written = os.write(fd, data)
+            finally:
+                os.close(fd)
+            if written != len(data):
+                # A torn tail: the next put starts a fresh segment.
+                self._segment = None
+                raise OSError(f"short write to cache segment {segment}")
+            self._segment = segment
+            self._index[key] = CompletionResponse(
+                response.text, response.prompt_tokens, response.completion_tokens,
+                cached=True,
+            )
+
+    def entries(self) -> list[str]:
+        """The distinct keys indexed at open or put since, legacy ones too."""
+        return sorted(self._index.keys() | self._legacy)
+
+    def files(self) -> list[Path]:
+        """Every file ``clear`` removes: segments, legacy entries and orphans."""
+        suffixes = (_SEGMENT_SUFFIX, _LEGACY_SUFFIX, _ORPHAN_SUFFIX)
+        with os.scandir(self.directory) as listing:
+            return sorted(
+                Path(item.path) for item in listing if item.name.endswith(suffixes)
+            )
 
     def clear(self) -> int:
-        removed = 0
-        for path in self.entries():
-            path.unlink()
-            removed += 1
+        """Remove every cache file; the number of entries removed."""
+        with self._lock:
+            removed = len(self.entries())
+            for path in self.files():
+                path.unlink()
+            self._index.clear()
+            self._legacy.clear()
+            self._segment = None
         return removed
 
 

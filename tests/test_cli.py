@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 
 import pytest
@@ -18,6 +19,7 @@ from claimpipe.cli import (
     build_parser,
     main,
 )
+from claimpipe.llm import CompletionResponse, ResponseCache
 
 
 def write_json(path, payload):
@@ -482,6 +484,29 @@ class TestEvalCommand:
         # Rejected before any claim ran or any file was written.
         assert not out_dir.exists()
 
+    def test_warm_cache_reproduces_cold_outputs(self, six_bundle, tmp_path, capsys):
+        def run(out_dir):
+            args = [
+                "eval",
+                "--data-path", str(six_bundle.dataset_path),
+                "--with-claim-context",
+                "--out", str(out_dir),
+                *scripted_args(six_bundle.script_path, tmp_path / "cache"),
+            ]
+            assert main(args) == 0
+            report = (out_dir / "report.json").read_text(encoding="utf-8")
+            traces = {
+                path.name: path.read_bytes() for path in (out_dir / "traces").iterdir()
+            }
+            return re.sub(r'"wall_clock_seconds": [^\n]*', "", report), traces
+
+        cold = run(tmp_path / "cold")
+        assert '"errors": 0' in cold[0]
+        assert len(cold[1]) == 6
+        # Every answer must now come from the segments read back at open.
+        write_json(six_bundle.script_path, [])
+        assert run(tmp_path / "warm") == cold
+
     def test_failed_claim_leaves_no_stale_trace(self, six_bundle, tmp_path):
         out_dir = tmp_path / "out"
         cache_dir = tmp_path / "cache"
@@ -674,6 +699,35 @@ class TestCacheCommand:
     def test_empty_cache_dir_ok(self, tmp_path, capsys):
         assert main(["cache", "--cache-dir", str(tmp_path / "nothing")]) == 0
         assert "entries: 0" in capsys.readouterr().out
+
+    def test_missing_cache_dir_is_not_created(self, tmp_path, capsys):
+        missing = tmp_path / "nothing"
+        assert main(["cache", "--cache-dir", str(missing)]) == 0
+        stats = capsys.readouterr().out
+        assert "entries: 0" in stats
+        assert "bytes: 0" in stats
+        assert main(["cache", "--cache-dir", str(missing), "--clear"]) == 0
+        assert "removed: 0" in capsys.readouterr().out
+        assert not missing.exists()
+
+    def test_clear_removes_segments_legacy_entries_and_orphans(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        cache = ResponseCache(cache_dir)
+        cache.put("a", CompletionResponse(text="x"))
+        cache.put("b", CompletionResponse(text="y"))
+        (cache_dir / "1-1.jsonl").write_text('["a", "other", 0, 0]\n', encoding="utf-8")
+        (cache_dir / "c.json").write_text('{"text": "z"}', encoding="utf-8")
+        (cache_dir / "tmpabc.tmp").write_text('{"text"', encoding="utf-8")
+        size = sum(path.stat().st_size for path in cache_dir.iterdir())
+
+        assert main(["cache", "--cache-dir", str(cache_dir)]) == 0
+        stats = capsys.readouterr().out
+        assert "entries: 3" in stats
+        assert f"bytes: {size}" in stats
+
+        assert main(["cache", "--cache-dir", str(cache_dir), "--clear"]) == 0
+        assert "removed: 3" in capsys.readouterr().out
+        assert list(cache_dir.iterdir()) == []
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 import threading
 import time
@@ -130,6 +131,118 @@ class TestResponseCache:
         assert cache.clear() == 2
         assert cache.entries() == []
 
+    def test_segment_cut_mid_line_loads_and_the_lost_entry_is_rewritten(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cache.put("kept", CompletionResponse(text="x"))
+        cache.put("torn", CompletionResponse(text="a longer text"))
+        [segment] = cache.files()
+        torn = segment.read_bytes()[:-8]
+        segment.write_bytes(torn)
+        reopened = ResponseCache(tmp_path)
+        assert reopened.get("kept").text == "x"
+        assert reopened.get("torn") is None
+        reopened.put("torn", CompletionResponse(text="a longer text", prompt_tokens=3))
+        # The new line went to a new segment, not after the torn one.
+        assert len(reopened.files()) == 2
+        assert segment.read_bytes() == torn
+        got = ResponseCache(tmp_path).get("torn")
+        assert (got.text, got.prompt_tokens, got.cached) == ("a longer text", 3, True)
+
+    def test_short_write_moves_later_puts_to_a_new_segment(self, tmp_path, monkeypatch):
+        cache = ResponseCache(tmp_path)
+        cache.put("a", CompletionResponse(text="x"))
+        real_write = os.write
+        monkeypatch.setattr(llm.os, "write", lambda fd, data: real_write(fd, data[:5]))
+        with pytest.raises(OSError):
+            cache.put("b", CompletionResponse(text="y"))
+        monkeypatch.setattr(llm.os, "write", real_write)
+        cache.put("c", CompletionResponse(text="z"))
+        assert len(cache.files()) == 2
+        assert ResponseCache(tmp_path).entries() == ["a", "c"]
+
+    def test_corrupt_middle_line_is_skipped(self, tmp_path):
+        (tmp_path / "1-1.jsonl").write_text(
+            '["a", "x", 1, 2]\n'
+            "{not json\n"
+            '["b", "y", 0, 0]\n'
+            '"kx12"\n'
+            '["c", 5, 0, 0]\n',
+            encoding="utf-8",
+        )
+        cache = ResponseCache(tmp_path)
+        assert cache.entries() == ["a", "b"]
+        assert (cache.get("a").text, cache.get("a").completion_tokens) == ("x", 2)
+        assert cache.get("b").text == "y"
+        assert cache.get("c") is None
+
+    def test_first_valid_occurrence_wins_across_segments(self, tmp_path):
+        (tmp_path / "1-1.jsonl").write_text(
+            '["k", null, 0, 0]\n["k", "first", 0, 0]\n', encoding="utf-8"
+        )
+        (tmp_path / "2-1.jsonl").write_text('["k", "second", 0, 0]\n', encoding="utf-8")
+        cache = ResponseCache(tmp_path)
+        assert cache.get("k").text == "first"
+        cache.put("k", CompletionResponse(text="third"))
+        assert cache.get("k").text == "first"
+        assert len(cache.files()) == 2
+
+    def test_two_instances_write_two_segments(self, tmp_path):
+        first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
+        first.put("a", CompletionResponse(text="x"))
+        second.put("b", CompletionResponse(text="y"))
+        # Each sees its own puts; the other's appear when the cache is reopened.
+        assert (first.get("b"), second.get("a")) == (None, None)
+        assert [path.suffix for path in first.files()] == [".jsonl", ".jsonl"]
+        assert ResponseCache(tmp_path).entries() == ["a", "b"]
+
+    def test_concurrent_puts_write_whole_lines(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        start = threading.Barrier(8)
+
+        def put_many(thread):
+            start.wait()
+            for n in range(200):
+                key = f"{thread}-{n}"
+                cache.put(key, CompletionResponse(text=f"{key} " * 200))
+
+        threads = [threading.Thread(target=put_many, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        [segment] = cache.files()
+        lines = segment.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1600
+        for line in lines:
+            key, text, _, _ = json.loads(line)
+            assert text == f"{key} " * 200
+        assert len(ResponseCache(tmp_path).entries()) == 1600
+
+    def test_legacy_entries_are_read(self, tmp_path):
+        (tmp_path / "old.json").write_text(
+            json.dumps({"text": "legacy", "prompt_tokens": 4}), encoding="utf-8"
+        )
+        (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+        cache = ResponseCache(tmp_path)
+        got = cache.get("old")
+        assert (got.text, got.prompt_tokens, got.cached) == ("legacy", 4, True)
+        assert cache.get("bad") is None
+        cache.put("bad", CompletionResponse(text="fresh"))
+        assert ResponseCache(tmp_path).get("bad").text == "fresh"
+
+    def test_puts_on_one_instance_share_one_segment(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        for n in range(50):
+            cache.put(f"k{n}", CompletionResponse(text=str(n)))
+        assert [path.name for path in tmp_path.iterdir()] == [cache.files()[0].name]
+        assert cache.files()[0].name.endswith(f"-{os.getpid()}.jsonl")
+
 
 class TestScript:
     def test_hash_lookup(self):
@@ -212,11 +325,19 @@ class TestScriptedClient:
         cache = ResponseCache(tmp_path / "cache")
         client = scripted_client(tmp_path, [script_entry("p", "answer")], cache=cache)
         client.complete_prompt("p")
-        [entry] = cache.entries()
-        entry.write_text(json.dumps({"text": text}), encoding="utf-8")
+        [segment] = cache.files()
+        key, _, prompt_tokens, completion_tokens = json.loads(segment.read_text())
+        segment.write_text(
+            json.dumps([key, text, prompt_tokens, completion_tokens]) + "\n",
+            encoding="utf-8",
+        )
+        cache = ResponseCache(cache.directory)
+        client = scripted_client(tmp_path, [script_entry("p", "answer")], cache=cache)
         again = client.complete_prompt("p")
         assert (again.text, again.cached) == ("answer", False)
         assert client.complete_prompt("p").cached is True
+        reopened = scripted_client(tmp_path, [], cache=ResponseCache(cache.directory))
+        assert reopened.complete_prompt("p").text == "answer"
 
     def test_one_prompt_hash_per_call_without_cache(self, tmp_path, monkeypatch):
         client = scripted_client(tmp_path, [script_entry("p", "answer")])
@@ -245,7 +366,8 @@ class TestScriptedClient:
         assert hit.cached is True
         assert hit.prompt_sha256 == prompt_sha256("p")
         # The digest is not stored with the entry.
-        assert "prompt_sha256" not in json.loads(cache.entries()[0].read_text())
+        [segment] = cache.files()
+        assert prompt_sha256("p") not in segment.read_text()
 
 
 class TestHttpClient:
