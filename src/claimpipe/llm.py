@@ -1,39 +1,51 @@
 """Completion backends: an HTTP chat endpoint and a deterministic script.
 
 Every completion is addressed by a content hash of (model, prompt, sampling
-parameters), which doubles as the cache key. ``ResponseCache`` appends
-completions to segment files and serves them from an index built in memory
-when it is opened, so a put creates no file and a get reads none. The
-scripted backend maps prompt hashes (or regexes over prompt text) to canned
-responses and is the basis for all offline tests.
+parameters), which doubles as the cache key. The HTTP backend speaks
+HTTP/1.1 through the standard library's ``http.client``, on one kept-alive
+connection per calling thread, and reads the proxy, CA-bundle and netrc
+settings from the environment. ``ResponseCache`` appends completions to
+segment files and serves them from an index built in memory when it is
+opened, so a put creates no file and a get reads none. The scripted backend
+maps prompt hashes (or regexes over prompt text) to canned responses and is
+the basis for all offline tests.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
+import netrc
 import os
 import random
 import re
+import select
+import ssl
 import threading
 import time
+import urllib.request
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from urllib.parse import urlsplit
-
-import requests
-from requests.exceptions import SSLError
+from urllib.parse import SplitResult, unquote, urlsplit
 
 DEFAULT_TEMPERATURE = 0.05
 DEFAULT_MAX_TOKENS = 512
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 # Statuses whose Retry-After header is honoured.
 RETRY_AFTER_STATUSES = frozenset({429, 503})
-# Connection faults and replies cut short; no other ``requests`` error is
-# retried, nor an SSLError (a rejected certificate fails alike every time).
-RETRYABLE_FAULTS = (
-    requests.ConnectionError, requests.Timeout, requests.exceptions.ChunkedEncodingError
-)
+# The name a failed attempt gives its fault, by the step that failed: a
+# socket timeout's, then any other connection fault's. They are the names
+# errors carried when the client ran on ``requests``. Each is retried; an
+# ``ssl.SSLError`` at any step is an "SSLError" and is not, as a rejected
+# certificate fails alike every time.
+FAULT_NAMES = {
+    "connect": ("ConnectTimeout", "ConnectionError"),
+    "reply": ("ReadTimeout", "ConnectionError"),
+    "body": ("ConnectionError", "ChunkedEncodingError"),
+}
 
 
 class BackendError(Exception):
@@ -366,12 +378,115 @@ class Script:
         return None
 
 
+def _basic_auth(user: str, password: str) -> str:
+    token = base64.b64encode(f"{user}:{password}".encode("latin-1"))
+    return f"Basic {token.decode('ascii')}"
+
+
+def _netrc_credentials(host: str) -> tuple[str, str] | None:
+    """The login (or else account) and password for ``host`` in the netrc
+    file named by ``$NETRC``, else in ``~/.netrc`` or ``~/_netrc``; None when
+    there is none, or it cannot be read or parsed."""
+    names = [os.environ["NETRC"]] if "NETRC" in os.environ else ["~/.netrc", "~/_netrc"]
+    paths = [path for path in map(os.path.expanduser, names) if os.path.exists(path)]
+    if not paths:
+        return None
+    try:
+        entry = netrc.netrc(paths[0]).authenticators(host)
+    except (netrc.NetrcParseError, OSError):
+        return None
+    if entry is None:
+        return None
+    login, account, password = entry
+    return login or account, password
+
+
+def _proxy_for(parts: SplitResult) -> SplitResult | None:
+    """The proxy for ``parts``' scheme, or ``ALL_PROXY``'s, unless none is
+    set or ``NO_PROXY`` covers its host."""
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(parts.scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass(parts.hostname):
+        return None
+    return urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+
+
+def _route_to(
+    url: str, timeout: float
+) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
+    """A connection towards ``url``, not yet open, with the request target
+    and the headers to send on it, from the environment as it is now.
+
+    https trusts the CA bundle named by ``REQUESTS_CA_BUNDLE``, else by
+    ``CURL_CA_BUNDLE`` (a file, or a directory of certificates), and
+    otherwise the system's. Through a proxy, plain http sends the whole URL
+    as the target, and https goes through a CONNECT tunnel; credentials in
+    the proxy URL are sent as ``Proxy-Authorization``. The netrc
+    credentials for the host, else those in ``url``, are the ``Basic``
+    authorization. ``timeout`` bounds connecting and each wait for bytes.
+    """
+    parts = urlsplit(url)
+    target = parts.path or "/"
+    if parts.query:
+        target = f"{target}?{parts.query}"
+    headers = {"Content-Type": "application/json"}
+    credentials = _netrc_credentials(parts.hostname)
+    if credentials is None and parts.username is not None:
+        credentials = unquote(parts.username), unquote(parts.password or "")
+    if credentials is not None:
+        headers["Authorization"] = _basic_auth(*credentials)
+    host, port = parts.hostname, parts.port
+    proxy = _proxy_for(parts)
+    proxy_headers = {}
+    if proxy is not None:
+        host, port = proxy.hostname, proxy.port or 80
+        if proxy.username is not None:
+            proxy_headers["Proxy-Authorization"] = _basic_auth(
+                unquote(proxy.username), unquote(proxy.password or "")
+            )
+    if parts.scheme == "http":
+        connection = http.client.HTTPConnection(host, port, timeout=timeout)
+        if proxy is not None:
+            target = f"http://{parts.netloc.rpartition('@')[2]}{target}"
+            headers.update(proxy_headers)
+        return connection, target, headers
+    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    if bundle and os.path.isdir(bundle):
+        context = ssl.create_default_context(capath=bundle)
+    else:
+        context = ssl.create_default_context(cafile=bundle or None)
+    connection = http.client.HTTPSConnection(
+        host, port, timeout=timeout, context=context
+    )
+    if proxy is not None:
+        connection.set_tunnel(parts.hostname, parts.port, headers=proxy_headers)
+    return connection, target, headers
+
+
+def _dropped(sock) -> bool:
+    """Whether an idle kept-alive socket is readable: at its end because the
+    server closed it, or holding bytes that no request asked for. Either way
+    it cannot carry the next request."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for connection in connections:
+        connection.close()
+
+
 class CompletionClient:
     """Caching client over one configured backend. Thread-safe.
 
     A scripted backend reads its script file. An HTTP backend keeps one
-    kept-alive ``requests.Session`` per calling thread, opened on that
-    thread's first call; ``close`` closes them all.
+    kept-alive ``http.client`` connection per calling thread, made on that
+    thread's first call (see ``_route_to``), so constructing a client opens
+    and reads nothing. ``close`` closes them all, and so does collecting a
+    client that was never closed.
     """
 
     def __init__(self, backend: BackendConfig, cache: ResponseCache | None = None):
@@ -382,38 +497,39 @@ class CompletionClient:
             self.script = Script.load(backend.script_path)
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._sessions: list[requests.Session] = []
+        self._connections: list[http.client.HTTPConnection] = []
+        self._finalizer: weakref.finalize | None = None
         self.prompt_tokens_total = 0
         self.completion_tokens_total = 0
         self.request_count = 0
         self.cache_hits = 0
 
     def close(self) -> None:
-        """Close every thread's session and its connections, once no call is
-        in flight. A later call opens a new session."""
+        """Close every thread's connection, once no call is in flight. A
+        later call opens a new one."""
         with self._lock:
-            sessions, self._sessions = self._sessions, []
+            connections = self._connections[:]
+            self._connections.clear()
             self._local = threading.local()
-        for session in sessions:
-            session.close()
+        _close_all(connections)
 
-    def _session(self) -> requests.Session:
-        """This thread's session. On creation it reads the environment once,
-        as ``requests`` would on every call: netrc auth, and the proxies and
-        CA bundle for the endpoint; it then stops consulting it."""
-        session = getattr(self._local, "session", None)
-        if session is None:
-            url = self.backend.endpoint_url
-            session = requests.Session()
-            session.auth = requests.utils.get_netrc_auth(url)
-            settings = session.merge_environment_settings(url, {}, None, None, None)
-            session.proxies = settings["proxies"]
-            session.verify = settings["verify"]
-            session.trust_env = False
+    def _route(self) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
+        """This thread's connection, request target and headers. They are
+        made from the environment at the thread's first call, which reads
+        the proxy, CA-bundle and netrc settings once, and then stops
+        consulting them."""
+        route = getattr(self._local, "route", None)
+        if route is None:
+            route = _route_to(self.backend.endpoint_url, self.backend.request_timeout)
             with self._lock:
-                self._sessions.append(session)
-            self._local.session = session
-        return session
+                if self._finalizer is None:
+                    # Closes the connections of a client collected unclosed.
+                    self._finalizer = weakref.finalize(
+                        self, _close_all, self._connections
+                    )
+                self._connections.append(route[0])
+            self._local.route = route
+        return route
 
     def request_for(self, prompt: str) -> CompletionRequest:
         return CompletionRequest(
@@ -469,17 +585,19 @@ class CompletionClient:
     def _http_complete(
         self, request: CompletionRequest, digest: str
     ) -> CompletionResponse:
-        body = {
-            "model": request.model_id,
-            "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
-        headers = {}
+        body = json.dumps(
+            {
+                "model": request.model_id,
+                "messages": [{"role": "user", "content": request.prompt}],
+                "temperature": request.temperature,
+                "max_tokens": request.max_tokens,
+            }
+        ).encode()
+        connection, target, headers = self._route()
         api_key = os.environ.get(self.backend.api_key_env, "")
         if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        session = self._session()
+            # A configured key wins over netrc credentials.
+            headers = {**headers, "Authorization": f"Bearer {api_key}"}
         last_error = "no attempt made"
         retry_after = None
         for attempt in range(self.backend.max_retries + 1):
@@ -494,39 +612,51 @@ class CompletionClient:
                     )
                 )
                 retry_after = None
+            step = "connect"
             try:
-                resp = session.post(
-                    self.backend.endpoint_url,
-                    json=body,
-                    headers=headers,
-                    timeout=self.backend.request_timeout,
-                )
-            except requests.RequestException as exc:
-                last_error = f"{type(exc).__name__}: {exc}"
-                if isinstance(exc, SSLError) or not isinstance(exc, RETRYABLE_FAULTS):
-                    raise TransportError(last_error, prompt_sha256=digest) from exc
+                # A connection the server closed while idle is reopened
+                # within this attempt; a reply lost after sending is not
+                # resent without spending one.
+                if connection.sock is not None and _dropped(connection.sock):
+                    connection.close()
+                if connection.sock is None:
+                    connection.connect()
+                step = "reply"
+                connection.request("POST", target, body, headers)
+                # A reply that will close its connection closes it here.
+                with connection.getresponse() as resp:
+                    step = "body"
+                    data = resp.read()
+            except BaseException as exc:
+                connection.close()
+                if isinstance(exc, ssl.SSLError):
+                    raise TransportError(
+                        f"SSLError: {exc}", prompt_sha256=digest
+                    ) from exc
+                if not isinstance(exc, (OSError, http.client.HTTPException)):
+                    raise
+                name = FAULT_NAMES[step][not isinstance(exc, TimeoutError)]
+                last_error = f"{name}: {exc}"
                 continue
-            if resp.status_code in RETRYABLE_STATUSES:
-                last_error = f"HTTP {resp.status_code}"
-                if resp.status_code in RETRY_AFTER_STATUSES:
-                    retry_after = resp.headers.get("Retry-After")
+            if resp.status in RETRYABLE_STATUSES:
+                last_error = f"HTTP {resp.status}"
+                if resp.status in RETRY_AFTER_STATUSES:
+                    retry_after = resp.getheader("Retry-After")
                 continue
-            if resp.status_code != 200:
+            if resp.status != 200:
+                text = data.decode("utf-8", "replace")
                 raise TransportError(
-                    f"HTTP {resp.status_code}: {resp.text[:200]}",
-                    prompt_sha256=digest,
+                    f"HTTP {resp.status}: {text[:200]}", prompt_sha256=digest
                 )
-            return self._parse_chat_response(resp, digest)
+            return self._parse_chat_response(data, digest)
         raise TransportError(
             f"gave up after {self.backend.max_retries} retries ({last_error})",
             prompt_sha256=digest,
         )
 
-    def _parse_chat_response(
-        self, resp: requests.Response, digest: str
-    ) -> CompletionResponse:
+    def _parse_chat_response(self, body: bytes, digest: str) -> CompletionResponse:
         try:
-            data = resp.json()
+            data = json.loads(body)
         except ValueError as exc:
             raise MalformedResponseError(
                 f"response body is not JSON: {exc}", prompt_sha256=digest

@@ -12,10 +12,17 @@ connection idle for ``idle_timeout`` seconds is closed.
 ``serve(tls=True)`` speaks HTTPS with ``tls/localhost.pem``, a certificate
 for ``localhost`` and ``127.0.0.1`` signed by the test CA ``tls/ca.pem``
 (both made once with ``openssl`` and valid until 2126).
+
+``tunnel()`` runs a ``Tunnel``: an HTTP proxy that answers ``CONNECT
+host:port`` by relaying bytes both ways between the client and that
+address, as proxies do for HTTPS. It records each CONNECT target.
 """
 from __future__ import annotations
 
 import json
+import select
+import socket
+import socketserver
 import ssl
 import threading
 import time
@@ -23,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, ContextManager, Iterator
 
 TLS = Path(__file__).parent / "tls"
 CA = TLS / "ca.pem"
@@ -160,16 +167,64 @@ class ChatFake(ThreadingHTTPServer):
 
 
 @contextmanager
-def serve(**options) -> Iterator[ChatFake]:
-    """A running ``ChatFake(**options)``, shut down on leaving the block."""
-    fake = ChatFake(**options)
+def _running(server: socketserver.BaseServer) -> Iterator:
+    """``server`` serving on a thread, shut down on leaving the block."""
     thread = threading.Thread(
-        target=fake.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
     try:
-        yield fake
+        yield server
     finally:
-        fake.shutdown()
+        server.shutdown()
         thread.join(timeout=5)
-        fake.server_close()
+        server.server_close()
+
+
+def serve(**options) -> ContextManager[ChatFake]:
+    """A running ``ChatFake(**options)``, shut down on leaving the block."""
+    return _running(ChatFake(**options))
+
+
+class _TunnelHandler(socketserver.BaseRequestHandler):
+    def handle(self):
+        client = self.request
+        head = b""
+        while b"\r\n\r\n" not in head:
+            chunk = client.recv(4096)
+            if not chunk:
+                return
+            head += chunk
+        # "CONNECT host:port HTTP/1.1"
+        target = head.split(None, 2)[1].decode("ascii")
+        with self.server.lock:
+            self.server.targets.append(target)
+        host, _, port = target.rpartition(":")
+        with socket.create_connection((host, int(port))) as upstream:
+            client.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            peers = {client: upstream, upstream: client}
+            while True:
+                # Either side closing, or a minute of silence, ends the relay.
+                readable = select.select(list(peers), [], [], 60)[0]
+                if not readable:
+                    return
+                for sock in readable:
+                    data = sock.recv(65536)
+                    if not data:
+                        return
+                    peers[sock].sendall(data)
+
+
+class Tunnel(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _TunnelHandler)
+        self.lock = threading.Lock()
+        self.targets: list[str] = []
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+
+
+def tunnel() -> ContextManager[Tunnel]:
+    """A running ``Tunnel``, shut down on leaving the block."""
+    return _running(Tunnel())

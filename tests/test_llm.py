@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+import warnings
+from pathlib import Path
 
 import pytest
 
-from chatfake import CA, Reply, chat_payload, serve
+from chatfake import CA, Reply, chat_payload, serve, tunnel
+import claimpipe
 from claimpipe import llm
 from claimpipe.cli import main
 from claimpipe.evaluation import run_eval
@@ -662,6 +668,17 @@ class TestKeepAlive:
         assert settles(lambda: chat_server.open == 0)
         assert verifier.abstraction_client.request_count > 0
 
+    def test_dropped_client_closes_its_connection(self, chat_server):
+        client = CompletionClient(http_backend(chat_server))
+        assert client.complete_prompt("x").text == "ok"
+        assert chat_server.open == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del client
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert settles(lambda: chat_server.open == 0)
+
 
 class TestTls:
     @pytest.fixture
@@ -693,6 +710,93 @@ class TestTls:
         assert "gave up" not in str(info.value)
         assert settles(lambda: tls_server.open == 0)
         assert (tls_server.connections, tls_server.requests) == (1, 0)
+
+
+@pytest.fixture
+def clean_environment(monkeypatch, tmp_path):
+    """No proxy, CA-bundle, netrc or API-key setting from the surroundings."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", "LLM_API_KEY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("NETRC", str(tmp_path / "absent-netrc"))
+
+
+@pytest.mark.usefixtures("clean_environment")
+class TestEnvironment:
+    """Proxy and netrc settings, read when a thread first calls."""
+
+    def test_no_proxy_covering_the_host_bypasses_the_proxy(
+        self, chat_server, monkeypatch
+    ):
+        # Nothing listens on port 1: a request sent to the proxy would fail.
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:1")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        client = CompletionClient(http_backend(chat_server, max_retries=0))
+        try:
+            assert client.complete_prompt("x").text == "ok"
+        finally:
+            client.close()
+        assert chat_server.paths == ["/v1/chat"]
+
+    def test_https_goes_through_a_connect_tunnel(self, monkeypatch):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(CA))
+        with serve(tls=True) as server, tunnel() as proxy:
+            monkeypatch.setenv("HTTPS_PROXY", proxy.url)
+            client = CompletionClient(http_backend(server))
+            try:
+                assert client.complete_prompt("x").text == "ok"
+                assert client.complete_prompt("y").text == "ok"
+            finally:
+                client.close()
+            assert proxy.targets == [f"127.0.0.1:{server.server_address[1]}"]
+            assert (server.connections, server.requests) == (1, 2)
+            assert server.paths == ["/v1/chat", "/v1/chat"]
+
+    @pytest.mark.parametrize(
+        "key, auth", [("sk-1", "Bearer sk-1"), (None, "Basic YWxpY2U6czNjcmV0")]
+    )
+    def test_a_configured_key_wins_over_netrc(
+        self, chat_server, monkeypatch, tmp_path, key, auth
+    ):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login alice password s3cret\n")
+        monkeypatch.setenv("NETRC", str(netrc))
+        if key is not None:
+            monkeypatch.setenv("LLM_API_KEY", key)
+        client = CompletionClient(http_backend(chat_server))
+        try:
+            client.complete_prompt("x")
+        finally:
+            client.close()
+        assert chat_server.requests_seen[0]["auth"] == auth
+
+
+def test_no_module_needs_requests(chat_server):
+    # With ``requests`` unimportable, the CLI imports and a call completes.
+    code = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["requests"] = None
+        import claimpipe.cli
+        from claimpipe.llm import BackendConfig, BackendKind, CompletionClient
+        client = CompletionClient(
+            BackendConfig(kind=BackendKind.HTTP_CHAT, endpoint_url={chat_server.url!r})
+        )
+        try:
+            print(client.complete_prompt("x").text)
+        finally:
+            client.close()
+        """
+    )
+    path = [str(Path(claimpipe.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
 class TestRetryDelay:
