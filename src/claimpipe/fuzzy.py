@@ -5,9 +5,12 @@ functions are expected to be preprocessed (see :func:`preprocess`); the
 functions themselves do no normalization.
 
 Keyword selection scores several short needles against each long evidence
-text. What a score needs of the haystack alone (its character counts, its
-token set and its sorted unique tokens) is kept in a :class:`Profile`,
-built once per text and shared through a small bounded cache.
+text. What a score needs of the haystack alone (its set of characters, its
+token set and the total length of its tokens) is kept in a
+:class:`Profile`, built once per text and shared through a small bounded
+cache. What :func:`partial_ratio` needs of the needle alone (the bit set of
+each character's positions) is kept the same way, once per needle. A score
+skips work only where the skip provably leaves it unchanged.
 """
 from __future__ import annotations
 
@@ -22,6 +25,10 @@ from typing import Iterator
 # keywords against one piece before the next, so each worker thread needs
 # one entry at a time; the rest absorb interleaving between threads.
 PROFILE_CACHE_SIZE = 16
+# Position masks of the most recent needles. A claim scores the same few
+# keywords against each of its pieces in turn, so each worker thread needs
+# one entry per keyword of its claim.
+NEEDLE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -101,16 +108,24 @@ def simple_ratio(a: str, b: str) -> float:
 class Profile:
     """What scoring any needle against one haystack needs of the haystack.
 
-    ``counts`` maps each character to its number of occurrences and
-    ``tokens`` is the set of whitespace-separated tokens. ``sorted_tokens``
-    joins the unique tokens in sorted order with single spaces; it is built
-    on first use, since only :func:`token_set_ratio` needs it and only when
-    the needle has a token the haystack lacks.
+    ``chars`` is the set of characters of the text, ``tokens`` the set of
+    its whitespace-separated tokens and ``token_chars`` the sum of their
+    lengths, so the unique tokens joined by single spaces are
+    ``token_chars + len(tokens) - 1`` characters long. ``sorted_tokens``, that
+    join in sorted order, is built on first use: only :func:`token_set_ratio`
+    needs it, and only when it runs an LCS. ``counts``, each character's
+    number of occurrences, is also built on first use; no score reads it.
     """
 
     def __init__(self, text: str):
-        self.counts = Counter(text)
+        self.text = text
+        self.chars = frozenset(text)
         self.tokens = frozenset(text.split())
+        self.token_chars = sum(map(len, self.tokens))
+
+    @cached_property
+    def counts(self) -> Counter[str]:
+        return Counter(self.text)
 
     @cached_property
     def sorted_tokens(self) -> str:
@@ -124,6 +139,11 @@ def profile(text: str) -> Profile:
     return Profile(text)
 
 
+# Shared by the calls that score the same needle while it is among the
+# NEEDLE_CACHE_SIZE most recent; callers must not change the dict.
+_needle_masks = lru_cache(maxsize=NEEDLE_CACHE_SIZE)(_char_masks)
+
+
 def partial_ratio(needle: str, haystack: str) -> float:
     """Best :func:`simple_ratio` of the needle against any same-length window.
 
@@ -131,8 +151,11 @@ def partial_ratio(needle: str, haystack: str) -> float:
     needle occurring verbatim in the haystack always scores 100. Otherwise
     the best LCS of a window with the needle lies between 1 and a bound: no
     window equals the needle, and none shares more characters with it than
-    the whole haystack does, counted from the haystack's :func:`profile`.
-    A bound of 0 scores 0. The scan stops when a window reaches the bound;
+    the whole haystack does. A needle sharing no character with the
+    haystack, by its :func:`profile`, has a bound of 0 and scores 0;
+    otherwise the bound is counted per character of the needle. The needle's
+    position masks are built once per needle. The scan stops when a window
+    reaches the bound;
     the windows aligned with either half of the needle are scored first,
     since a near match keeps one half intact. No rule changes the score:
 
@@ -149,13 +172,15 @@ def partial_ratio(needle: str, haystack: str) -> float:
         needle, haystack = haystack, needle
     if needle in haystack:
         return 100.0
-    counts = profile(haystack).counts
-    masks = _char_masks(needle)
+    masks = _needle_masks(needle)
+    if profile(haystack).chars.isdisjoint(masks):
+        return 0.0
     size = len(needle)
     # Only a window equal to the needle has an LCS of len(needle).
-    bound = min(size - 1, sum(min(needle.count(ch), counts[ch]) for ch in masks))
-    if bound == 0:
-        return 0.0
+    bound = min(
+        size - 1,
+        sum(min(mask.bit_count(), haystack.count(ch)) for ch, mask in masks.items()),
+    )
     # Some window holds a shared character.
     best = 1
     full = (1 << size) - 1
@@ -204,31 +229,39 @@ def token_set_ratio(a: str, b: str) -> float:
     As t0 is a prefix of both combined strings, the first two distances are
     length differences and the third is the distance between the suffixes.
 
-    ``b``'s token set, sorted tokens and characters come from its
-    :func:`profile`, so only ``a`` is split and sorted per call. Two exits
-    skip work without changing the score. When every token of ``a`` is in
-    ``b``, t0 equals a's combined string and the score is 100. When a's
-    leftover tokens share no character with ``b``, only the separating
+    ``b``'s token set, token lengths, sorted tokens and characters come from
+    its :func:`profile`, so only ``a`` is split and sorted per call. b's
+    combined string d2 holds every token of ``b`` once, so its length and
+    its number of spaces follow from the profile without building it. Two
+    exits skip work without changing the score. When every token of ``a``
+    is in ``b``, t0 equals a's combined string and the score is 100. When
+    a's leftover tokens share no character with ``b``, only the separating
     spaces of the two suffixes can match, so their LCS is the smaller
-    number of spaces and no LCS is run.
+    number of spaces, and neither d2 nor an LCS is computed.
     """
     tokens_a = set(a.split())
     b_profile = profile(b)
     if tokens_a <= b_profile.tokens:
         return 100.0
     common = sorted(tokens_a & b_profile.tokens)
+    only_a = sorted(tokens_a - b_profile.tokens)
     t0 = " ".join(common)
-    d1 = " ".join(common + sorted(tokens_a - b_profile.tokens))
-    rest = _without(b_profile.sorted_tokens, common)
-    d2 = f"{t0} {rest}" if t0 and rest else t0 + rest
+    d1 = " ".join(common + only_a)
     prefix = len(t0)
-    s1, s2 = d1[prefix:], d2[prefix:]
-    if set(s1).intersection(b_profile.counts) <= {" "}:
-        dist = len(s1) + len(s2) - 2 * min(s1.count(" "), s2.count(" "))
+    s1 = d1[prefix:]
+    # d2 is b's unique tokens, t0 first, joined by single spaces.
+    tokens_b = len(b_profile.tokens)
+    len_d2 = b_profile.token_chars + tokens_b - 1 if tokens_b else 0
+    if b_profile.chars.isdisjoint("".join(only_a)):
+        # s2 is d2 after t0: its spaces are d2's, less those inside t0.
+        spaces_s2 = tokens_b - len(common) if common else max(tokens_b - 1, 0)
+        dist = len(s1) + len_d2 - prefix - 2 * min(s1.count(" "), spaces_s2)
     else:
-        dist = indel_distance(s1, s2)
+        rest = _without(b_profile.sorted_tokens, common)
+        d2 = f"{t0} {rest}" if t0 and rest else t0 + rest
+        dist = indel_distance(s1, d2[prefix:])
     return max(
         _ratio(len(d1) - prefix, prefix + len(d1)),
-        _ratio(len(d2) - prefix, prefix + len(d2)),
-        _ratio(dist, len(d1) + len(d2)),
+        _ratio(len_d2 - prefix, prefix + len_d2),
+        _ratio(dist, len(d1) + len_d2),
     )

@@ -16,6 +16,7 @@ import base64
 import hashlib
 import http.client
 import json
+import math
 import netrc
 import os
 import random
@@ -84,6 +85,14 @@ def _is_http_url(url: str) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
+def public_endpoint(url: str) -> str:
+    """``url`` as an output file records it: credentials written in it, which
+    go out as ``Basic`` authorization, become ``***``."""
+    netloc = urlsplit(url).netloc
+    _, at, host = netloc.rpartition("@")
+    return url.replace(netloc, f"***@{host}", 1) if at else url
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     kind: BackendKind
@@ -107,14 +116,22 @@ class BackendConfig:
             raise ValueError("scripted backend requires a script path")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        # Written so that NaN and the infinities fail too.
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(
+                f"temperature must be finite and >= 0, not {self.temperature}"
+            )
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
-        if self.request_timeout <= 0:
-            raise ValueError("request_timeout must be positive")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
+        if not 0 < self.request_timeout < math.inf:
+            raise ValueError(
+                "request_timeout must be finite and positive, "
+                f"not {self.request_timeout}"
+            )
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError(
+                f"backoff_base must be finite and >= 0, not {self.backoff_base}"
+            )
 
 
 @dataclass(frozen=True)

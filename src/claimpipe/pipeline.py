@@ -32,6 +32,7 @@ from .llm import (
     BackendKind,
     CompletionClient,
     ResponseCache,
+    public_endpoint,
 )
 from .prompts import MIN_SUMMARY_KEYWORDS, PromptLibrary, format_evidence_block
 
@@ -195,8 +196,13 @@ class PipelineConfig:
             )
 
     def to_dict(self) -> dict:
-        """Every field, backends included, in declaration order."""
-        return plain(self)
+        """Every field, backends included, in declaration order; credentials
+        in an endpoint are written as ``***``."""
+        out = plain(self)
+        for key in ("abstraction_backend", "verification_backend"):
+            if out[key] is not None:
+                out[key]["endpoint_url"] = public_endpoint(out[key]["endpoint_url"])
+        return out
 
 
 @dataclass(frozen=True)
@@ -328,22 +334,26 @@ def parse_verdict_answer(completion: str) -> tuple[Verdict, bool]:
     return verdict, False
 
 
+def _scores(
+    keywords: list[str] | tuple[str, ...], evidence_text: str
+) -> Iterator[tuple[str, float, float]]:
+    """Each keyword with its partial and token-set score against one
+    evidence text, in keyword order."""
+    evidence_norm = fuzzy.preprocess(evidence_text).normalized
+    for keyword in keywords:
+        keyword_norm = fuzzy.preprocess(keyword).normalized
+        yield (
+            keyword,
+            fuzzy.partial_ratio(keyword_norm, evidence_norm),
+            fuzzy.token_set_ratio(keyword_norm, evidence_norm),
+        )
+
+
 def score_keywords(
     keywords: list[str] | tuple[str, ...], evidence_text: str
 ) -> list[SelectedKeyword]:
     """Score every keyword against one evidence text, preserving order."""
-    evidence_norm = fuzzy.preprocess(evidence_text).normalized
-    scored = []
-    for keyword in keywords:
-        keyword_norm = fuzzy.preprocess(keyword).normalized
-        scored.append(
-            SelectedKeyword(
-                keyword=keyword,
-                partial_score=fuzzy.partial_ratio(keyword_norm, evidence_norm),
-                token_set_score=fuzzy.token_set_ratio(keyword_norm, evidence_norm),
-            )
-        )
-    return scored
+    return [SelectedKeyword(*scored) for scored in _scores(keywords, evidence_text)]
 
 
 def select_keywords(
@@ -356,9 +366,9 @@ def select_keywords(
     """Keep keywords whose partial or token-set score strictly exceeds its
     threshold. Order follows the input keyword list."""
     selected = tuple(
-        s
-        for s in score_keywords(keywords, evidence_text)
-        if s.partial_score > t1 or s.token_set_score > t2
+        SelectedKeyword(keyword, partial, token_set)
+        for keyword, partial, token_set in _scores(keywords, evidence_text)
+        if partial > t1 or token_set > t2
     )
     return KeywordSet(evidence_index=evidence_index, selected=selected)
 

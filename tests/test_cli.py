@@ -6,8 +6,8 @@ import shutil
 
 import pytest
 
-from chatfake import serve
-from conftest import write_regex_script
+from chatfake import Reply, chat_payload, serve
+from conftest import REGEX_SCRIPT_ENTRIES, write_regex_script
 from fixture_six import CLAIMS
 from claimpipe import cli
 from claimpipe.cli import (
@@ -19,7 +19,7 @@ from claimpipe.cli import (
     build_parser,
     main,
 )
-from claimpipe.llm import CompletionResponse, ResponseCache
+from claimpipe.llm import CompletionResponse, ResponseCache, Script
 
 
 def write_json(path, payload):
@@ -1043,6 +1043,87 @@ class TestRejectedBeforeAnyCall:
         assert "Traceback" not in err
         assert f"config error: {key} must be a directory, and {blocker}" in err
         assert chat.requests == 0
+
+
+def non_finite_cases():
+    """Every float option with NaN and both infinities, through its flag
+    where it has one and through a config file."""
+    for key, option in cli.OPTIONS.items():
+        if option.kind is not float:
+            continue
+        for value in ("nan", "inf", "-inf"):
+            routes = ["flag", "config"] if option.commands else ["config"]
+            for route in routes:
+                yield pytest.param(key, value, route, id=f"{key}-{value}-{route}")
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("key, value, route", non_finite_cases())
+    def test_rejected_before_any_request(self, tmp_path, capsys, key, value, route):
+        if route == "flag":
+            assert "eval" in cli.OPTIONS[key].commands
+            setting = [f"--{key.replace('_', '-')}={value}"]
+        else:
+            # Python's json writes the literals NaN, Infinity and -Infinity.
+            config = write_json(tmp_path / "c.json", {key: float(value)})
+            setting = ["--config", str(config)]
+        with serve() as chat:
+            code = main(
+                [
+                    "eval",
+                    "--data-path", str(tiny_dataset_file(tmp_path)),
+                    "--backend", "http",
+                    "--endpoint", chat.url,
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path / "out"),
+                    *setting,
+                ]
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert key in err
+        assert chat.requests == 0
+        assert not (tmp_path / "out").exists()
+
+
+class TestEndpointCredentials:
+    """Credentials in the endpoint URL go out as Basic authorization and
+    into no output file, which records the endpoint with ``***`` for them."""
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    def test_sent_but_not_written(self, monkeypatch, tmp_path, capsys, command):
+        monkeypatch.delenv("LLM_API_KEY", raising=False)
+        monkeypatch.setenv("NETRC", str(tmp_path / "no-netrc"))
+        if command == "verify":
+            evidence = spam_evidence_file(tmp_path)
+            inputs = ["--claim", "Anything.", "--evidence", str(evidence)]
+            written = tmp_path / "out" / "verify.json"
+        else:
+            inputs = ["--data-path", str(tiny_dataset_file(tmp_path))]
+            written = tmp_path / "out" / "report.json"
+        script = Script(REGEX_SCRIPT_ENTRIES)
+        with serve() as chat:
+            chat.answer = lambda prompt: Reply(body=chat_payload(script.lookup(prompt)))
+            code = main(
+                [
+                    command,
+                    *inputs,
+                    "--backend", "http",
+                    "--endpoint", chat.url.replace("://", "://alice:s3cret@"),
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path / "out"),
+                ]
+            )
+        assert code == 0
+        assert "s3cret" not in capsys.readouterr().out
+        text = written.read_text(encoding="utf-8")
+        assert "s3cret" not in text and "alice" not in text
+        config = json.loads(text)["config"]
+        for backend in ("abstraction_backend", "verification_backend"):
+            assert config[backend]["endpoint_url"] == chat.url.replace("://", "://***@")
+        assert chat.requests > 0
+        assert {seen["auth"] for seen in chat.requests_seen} == {"Basic YWxpY2U6czNjcmV0"}
 
 
 class TestOutputFiles:

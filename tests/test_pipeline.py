@@ -23,6 +23,7 @@ from claimpipe.pipeline import (
     ClaimInstance,
     ClaimVerifier,
     EvidencePiece,
+    KeywordSet,
     PipelineError,
     Subclaim,
     SubclaimResult,
@@ -32,6 +33,7 @@ from claimpipe.pipeline import (
     parse_keyword_list,
     parse_subclaims,
     parse_verdict_answer,
+    score_keywords,
     select_keywords,
 )
 from claimpipe.prompts import format_evidence_block
@@ -233,6 +235,30 @@ class TestSelectKeywords:
             select_keywords(keywords, evidence, t1=low_t1, t2=low_t2).keywords()
         )
         assert strict <= loose
+
+    # The bounds of the threshold range are drawn often: 0 drops only the
+    # keywords scoring 0 on both ratios, 100 drops every keyword.
+    THRESHOLD = st.one_of(
+        st.sampled_from([0.0, 100.0]), st.floats(min_value=0, max_value=100)
+    )
+
+    @given(
+        st.lists(st.text(alphabet="abcdeé中 ,.", max_size=10), max_size=6),
+        st.text(alphabet="abcdeé中 ,.", max_size=80),
+        THRESHOLD,
+        THRESHOLD,
+    )
+    def test_selection_is_scoring_filtered_by_the_thresholds(
+        self, keywords, evidence, t1, t2
+    ):
+        kept = tuple(
+            scored
+            for scored in score_keywords(keywords, evidence)
+            if scored.partial_score > t1 or scored.token_set_score > t2
+        )
+        assert select_keywords(keywords, evidence, t1, t2, evidence_index=2) == (
+            KeywordSet(evidence_index=2, selected=kept)
+        )
 
     @given(st.text(alphabet="abc", min_size=1, max_size=6))
     def test_verbatim_keyword_always_selected(self, word):
