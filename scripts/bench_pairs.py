@@ -7,7 +7,11 @@ reads the JSON object on the last line of each run's standard output. Then
 prints, per end-to-end metric, each side's median and quartiles, the change
 of the median, whether it exceeds the baseline's quartile distance, and the
 number of pairs the candidate won (the direction comes from the baseline's
-BENCHMARK.json).
+BENCHMARK.json). A row ends in ``REGRESSION`` when the candidate median is
+worse than the baseline median by more than the metric's ``bound`` there, a
+fraction of the baseline median; a metric without a bound is never marked.
+Last, it prints each side's ``failed`` and ``attempted`` verifications,
+summed over the runs' result lines.
 
 Usage, from anywhere:
 
@@ -15,7 +19,8 @@ Usage, from anywhere:
         --workload offline-long-evidence --seeds 101-110 --seconds 40
 
 ``--seeds`` takes comma-separated seeds and ``a-b`` ranges. The exit code is
-1 if any run fails or fails its correctness gate, 0 otherwise.
+1 if any run fails or fails its correctness gate, or any row is marked, and
+0 otherwise.
 """
 from __future__ import annotations
 
@@ -81,6 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"baseline": args.baseline.resolve(), "candidate": args.candidate.resolve()}
     declared = json.loads((sides["baseline"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {entry["name"]: entry["better"] for entry in declared["end_to_end"]}
+    bound = {entry["name"]: entry.get("bound") for entry in declared["end_to_end"]}
 
     pairs: list[dict[str, dict]] = []
     for number, seed in enumerate(args.seeds):
@@ -97,6 +103,7 @@ def main(argv: list[str] | None = None) -> int:
           f"baseline {sides['baseline']}, candidate {sides['candidate']}")
     print(f"{'metric':<14} {'baseline median [q1, q3]':<30} "
           f"{'candidate median [q1, q3]':<30} {'change':>8} {'>IQR':>5} {'won':>6}")
+    regressed = []
     for name, direction in better.items():
         complete = [pair for pair in pairs
                     if all(name in pair[side]["metrics"] for side in sides)]
@@ -110,13 +117,23 @@ def main(argv: list[str] | None = None) -> int:
                   for b, c in zip(value["baseline"], value["candidate"]))
         change = (cand[0] - base[0]) / base[0] * 100 if base[0] else float("nan")
         beyond = "yes" if abs(cand[0] - base[0]) > base[2] - base[1] else "no"
+        limit = bound[name]
+        worse = limit is not None and sign * (cand[0] - base[0]) < -limit * abs(base[0])
+        if worse:
+            regressed.append(name)
         print(f"{name:<14} {text(base):<30} {text(cand):<30} {change:>+7.1f}% "
-              f"{beyond:>5} {won:>3}/{len(complete)}")
+              f"{beyond:>5} {won:>3}/{len(complete)}"
+              + (f" REGRESSION (bound {limit:.0%})" if worse else ""))
+    counts = {side: "/".join(str(sum(pair[side].get(field, 0) for pair in pairs))
+                             for field in ("failed", "attempted"))
+              for side in sides}
+    print(f"failed/attempted: baseline {counts['baseline']}, "
+          f"candidate {counts['candidate']}")
     failed = [(side, seed) for pair, seed in zip(pairs, args.seeds)
               for side in sides if not pair[side]["ok"]]
     for side, seed in failed:
         print(f"FAILED: {side} seed {seed}")
-    return 1 if failed else 0
+    return 1 if failed or regressed else 0
 
 
 if __name__ == "__main__":

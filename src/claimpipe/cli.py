@@ -354,6 +354,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
+    """Print the cache's directory, its segment keys as ``entries:`` and the
+    size of its files as ``bytes:``; with ``--clear``, remove those files,
+    the older format's ``<key>.json`` entries and ``*.tmp`` files too."""
     options = _merge_options(args)
     directory = Path(options["cache_dir"])
     # Opening a cache creates its directory; a missing one reads as empty.

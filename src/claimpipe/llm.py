@@ -85,12 +85,20 @@ def _is_http_url(url: str) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
+# The userinfo of a URL: what precedes the last "@" of its authority, which
+# starts after "scheme://", after "//", or at the start of a URL without them.
+_USERINFO_RE = re.compile(r"^((?:[A-Za-z][A-Za-z0-9+.-]*:)?//)?[^/?#]*@")
+# What urlsplit drops before it parses: leading controls and spaces, and every
+# tab and line break.
+_URL_DROPPED_RE = re.compile(r"^[\x00-\x20]+|[\t\r\n]")
+
+
 def public_endpoint(url: str) -> str:
-    """``url`` as an output file records it: credentials written in it, which
-    go out as ``Basic`` authorization, become ``***``."""
-    netloc = urlsplit(url).netloc
-    _, at, host = netloc.rpartition("@")
-    return url.replace(netloc, f"***@{host}", 1) if at else url
+    """``url`` as an output file or an error message records it: credentials
+    written in it, which go out as ``Basic`` authorization, become ``***``,
+    also in a malformed URL such as ``user:password@host/path``. It is read
+    as ``urlsplit`` reads it, so the credentials found are the ones sent."""
+    return _USERINFO_RE.sub(r"\1***@", _URL_DROPPED_RE.sub("", url), count=1)
 
 
 @dataclass(frozen=True)
@@ -110,7 +118,7 @@ class BackendConfig:
         if self.kind is BackendKind.HTTP_CHAT and not _is_http_url(self.endpoint_url):
             raise ValueError(
                 "http backend requires an endpoint: an http or https URL with a "
-                f"host, got {self.endpoint_url!r}"
+                f"host, got {public_endpoint(self.endpoint_url)!r}"
             )
         if self.kind is BackendKind.SCRIPTED and not self.script_path:
             raise ValueError("scripted backend requires a script path")
@@ -184,27 +192,10 @@ def cache_key(request: CompletionRequest) -> str:
 
 
 _SEGMENT_SUFFIX = ".jsonl"
-_LEGACY_SUFFIX = ".json"
-# Left by an interrupted put of the one-file-per-entry format.
-_ORPHAN_SUFFIX = ".tmp"
-
-
-def _cached_response(
-    text: object, prompt_tokens: object, completion_tokens: object
-) -> CompletionResponse | None:
-    """A hit built from stored fields, or None when ``text`` is not a string
-    or a token count is not a number."""
-    if not isinstance(text, str):
-        return None
-    try:
-        return CompletionResponse(
-            text=text,
-            prompt_tokens=int(prompt_tokens),
-            completion_tokens=int(completion_tokens),
-            cached=True,
-        )
-    except (ValueError, TypeError):
-        return None
+# The one-file-per-entry format that segments replaced: ``<key>.json``
+# entries, and ``.tmp`` files left by an interrupted put. Never read; ``clear``
+# removes them.
+_LEGACY_SUFFIXES = (".json", ".tmp")
 
 
 class ResponseCache:
@@ -216,10 +207,10 @@ class ResponseCache:
     cache creates the directory and indexes every segment in name order,
     keeping the first valid line of each key, so a cached response never
     changes under a later run. A torn or corrupt line is a miss, and the
-    fresh completion is appended. Legacy ``<key>.json`` files (the
-    one-file-per-entry format) are noted at open and read on lookup. Entries
-    that another instance writes become visible when the cache is next
-    opened.
+    fresh completion is appended. Entries that another instance writes become
+    visible when the cache is next opened. Files of the older
+    one-file-per-entry format are not read, so their keys are misses, but
+    ``files`` lists them and ``clear`` removes them.
     """
 
     def __init__(self, directory: str | Path):
@@ -228,15 +219,11 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._segment: Path | None = None
         self._index: dict[str, CompletionResponse] = {}
-        self._legacy: set[str] = set()
-        segments = []
         with os.scandir(self.directory) as listing:
-            for item in listing:
-                if item.name.endswith(_SEGMENT_SUFFIX):
-                    segments.append(item.name)
-                elif item.name.endswith(_LEGACY_SUFFIX):
-                    self._legacy.add(item.name[: -len(_LEGACY_SUFFIX)])
-        for name in sorted(segments):
+            segments = sorted(
+                item.name for item in listing if item.name.endswith(_SEGMENT_SUFFIX)
+            )
+        for name in segments:
             self._index_segment(self.directory / name)
 
     def _index_segment(self, path: Path) -> None:
@@ -245,38 +232,25 @@ class ResponseCache:
                 for line in fh:
                     try:
                         entry = json.loads(line)
-                    except ValueError:
-                        continue
-                    if (
-                        isinstance(entry, list)
-                        and len(entry) == 4
-                        and isinstance(entry[0], str)
-                        and entry[0] not in self._index
-                    ):
-                        response = _cached_response(*entry[1:])
-                        if response is not None:
-                            self._index[entry[0]] = response
+                        if not isinstance(entry, list):
+                            continue
+                        key, text, prompt_tokens, completion_tokens = entry
+                        if (
+                            isinstance(key, str)
+                            and isinstance(text, str)
+                            and key not in self._index
+                        ):
+                            self._index[key] = CompletionResponse(
+                                text, int(prompt_tokens), int(completion_tokens),
+                                cached=True,
+                            )
+                    except (ValueError, TypeError, OverflowError):
+                        continue  # A torn or corrupt line is a miss.
         except OSError:
             pass  # An unreadable segment is all misses.
 
-    def _read_legacy(self, key: str) -> CompletionResponse | None:
-        path = self.directory / f"{key}{_LEGACY_SUFFIX}"
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-            return _cached_response(
-                data["text"],
-                data.get("prompt_tokens", 0),
-                data.get("completion_tokens", 0),
-            )
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
     def get(self, key: str) -> CompletionResponse | None:
-        response = self._index.get(key)
-        if response is None and key in self._legacy:
-            response = self._read_legacy(key)
-        return response
+        return self._index.get(key)
 
     def put(self, key: str, response: CompletionResponse) -> None:
         """Append ``response`` under ``key``, unless this instance already
@@ -312,12 +286,13 @@ class ResponseCache:
             )
 
     def entries(self) -> list[str]:
-        """The distinct keys indexed at open or put since, legacy ones too."""
-        return sorted(self._index.keys() | self._legacy)
+        """The distinct keys indexed at open or put since."""
+        return sorted(self._index)
 
     def files(self) -> list[Path]:
-        """Every file ``clear`` removes: segments, legacy entries and orphans."""
-        suffixes = (_SEGMENT_SUFFIX, _LEGACY_SUFFIX, _ORPHAN_SUFFIX)
+        """Every file ``clear`` removes: segments, and legacy entries and
+        orphans of the older format."""
+        suffixes = (_SEGMENT_SUFFIX, *_LEGACY_SUFFIXES)
         with os.scandir(self.directory) as listing:
             return sorted(
                 Path(item.path) for item in listing if item.name.endswith(suffixes)
@@ -330,7 +305,6 @@ class ResponseCache:
             for path in self.files():
                 path.unlink()
             self._index.clear()
-            self._legacy.clear()
             self._segment = None
         return removed
 

@@ -230,17 +230,32 @@ class TestResponseCache:
             assert text == f"{key} " * 200
         assert len(ResponseCache(tmp_path).entries()) == 1600
 
-    def test_legacy_entries_are_read(self, tmp_path):
-        (tmp_path / "old.json").write_text(
+    def test_legacy_entries_are_misses(self, tmp_path):
+        legacy = tmp_path / "old.json"
+        legacy.write_text(
             json.dumps({"text": "legacy", "prompt_tokens": 4}), encoding="utf-8"
         )
-        (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
         cache = ResponseCache(tmp_path)
-        got = cache.get("old")
-        assert (got.text, got.prompt_tokens, got.cached) == ("legacy", 4, True)
-        assert cache.get("bad") is None
-        cache.put("bad", CompletionResponse(text="fresh"))
-        assert ResponseCache(tmp_path).get("bad").text == "fresh"
+        assert cache.get("old") is None
+        assert cache.entries() == []
+        cache.put("old", CompletionResponse(text="fresh", prompt_tokens=3))
+        [segment] = [path for path in cache.files() if path.suffix == ".jsonl"]
+        assert json.loads(segment.read_text(encoding="utf-8")) == ["old", "fresh", 3, 0]
+        got = ResponseCache(tmp_path).get("old")
+        assert (got.text, got.prompt_tokens, got.cached) == ("fresh", 3, True)
+        assert legacy.exists()
+
+    def test_token_counts_that_are_not_numbers_are_misses(self, tmp_path):
+        (tmp_path / "1-1.jsonl").write_text(
+            '["a", "x", "many", 0]\n'
+            '["b", "y", 0, 1e400]\n'
+            '["c", "z", null, 0]\n'
+            '["d", "w", 2, 3]\n',
+            encoding="utf-8",
+        )
+        cache = ResponseCache(tmp_path)
+        assert cache.entries() == ["d"]
+        assert (cache.get("d").prompt_tokens, cache.get("d").completion_tokens) == (2, 3)
 
     def test_puts_on_one_instance_share_one_segment(self, tmp_path):
         cache = ResponseCache(tmp_path)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from claimpipe.prompts import (
+    _SLOT_RE,
     FewShotExample,
     PromptError,
     PromptLibrary,
@@ -162,6 +163,70 @@ class TestSlotHandling:
             prompt_library.render_subclaim_verification("", "X")
         with pytest.raises(PromptError):
             prompt_library.render_subclaim_verification("- a line", "  ")
+
+
+# Slot markers, regex replacement escapes and format specifiers, none of
+# which a slot value may expand into anything but itself.
+ADVERSARIAL_VALUES = ["{{claim}}", "{{examples}}", "\\1", "\\g<0>", "%s", "{}"]
+
+
+def substituted(library, task, **values):
+    """``task``'s prompt by one regex substitution over its body, with the
+    task's examples joined into ``{{examples}}``."""
+    template = library.template(task)
+    examples = "\n".join(example.render() for example in template.examples)
+    filled = {"examples": examples, **values}
+    return _SLOT_RE.sub(lambda match: filled[match.group(1)], template.body)
+
+
+class TestRenderer:
+    @pytest.mark.parametrize("value", ADVERSARIAL_VALUES)
+    def test_every_render_method_equals_a_substitution(self, prompt_library, value):
+        lib, text = prompt_library, f"{value} and {value}"
+        keywords = [value, text]
+        renders = [
+            (
+                lib.render_keyword_extraction(value),
+                substituted(lib, PromptTask.KEYWORD_EXTRACTION, claim=value),
+            ),
+            (
+                lib.render_evidence_summarization(text, keywords),
+                substituted(
+                    lib,
+                    PromptTask.EVIDENCE_SUMMARIZATION,
+                    evidence=text,
+                    keywords=format_keyword_list(keywords),
+                ),
+            ),
+            (
+                lib.render_claim_guided_summarization(text, value),
+                substituted(
+                    lib, PromptTask.CLAIM_GUIDED_SUMMARIZATION, evidence=text, claim=value
+                ),
+            ),
+            (
+                lib.render_claim_deconstruction(text),
+                substituted(lib, PromptTask.CLAIM_DECONSTRUCTION, claim=text),
+            ),
+        ]
+        for with_context, context in ((False, ""), (True, f"In the saying of {text}. ")):
+            renders.append(
+                (
+                    lib.render_subclaim_verification(
+                        f"- {value}", value, claim=text, with_context=with_context
+                    ),
+                    substituted(
+                        lib,
+                        PromptTask.SUBCLAIM_VERIFICATION,
+                        evidence=f"- {value}",
+                        claim_context=context,
+                        subclaim=value,
+                    ),
+                )
+            )
+        for got, expected in renders:
+            assert got.encode("utf-8") == expected.encode("utf-8")
+            assert value in got
 
 
 class TestHelpers:
