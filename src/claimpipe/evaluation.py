@@ -18,6 +18,7 @@ import hashlib
 import logging
 import re
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +69,14 @@ class ConfusionCounts:
     def fn_false(self) -> int:
         return self.fp_true
 
+    def per_class(self) -> dict[str, dict[str, int]]:
+        """Each class's true positives, false positives and false negatives,
+        as reported under ``counts.per_class``."""
+        return {
+            "true": {"tp": self.tp_true, "fp": self.fp_true, "fn": self.fn_true},
+            "false": {"tp": self.tp_false, "fp": self.fp_false, "fn": self.fn_false},
+        }
+
 
 def _prf(tp: int, fp: int, fn: int) -> ClassMetrics:
     precision = tp / (tp + fp) if tp + fp else 0.0
@@ -81,24 +90,17 @@ def confusion(
 ) -> ConfusionCounts:
     if len(predictions) != len(golds):
         raise ValueError("predictions and golds must have equal length")
-    counts = ConfusionCounts()
-    for predicted, gold in zip(predictions, golds):
-        if predicted is Verdict.TRUE and gold is Verdict.TRUE:
-            counts.tp_true += 1
-        if predicted is Verdict.TRUE and gold is Verdict.FALSE:
-            counts.fp_true += 1
-        if predicted is Verdict.FALSE and gold is Verdict.FALSE:
-            counts.tp_false += 1
-        if predicted is Verdict.FALSE and gold is Verdict.TRUE:
-            counts.fp_false += 1
-    return counts
+    pairs = Counter(zip(predictions, golds))
+    return ConfusionCounts(
+        tp_true=pairs[Verdict.TRUE, Verdict.TRUE],
+        fp_true=pairs[Verdict.TRUE, Verdict.FALSE],
+        tp_false=pairs[Verdict.FALSE, Verdict.FALSE],
+        fp_false=pairs[Verdict.FALSE, Verdict.TRUE],
+    )
 
 
 def class_metrics(counts: ConfusionCounts) -> dict[str, ClassMetrics]:
-    return {
-        "true": _prf(counts.tp_true, counts.fp_true, counts.fn_true),
-        "false": _prf(counts.tp_false, counts.fp_false, counts.fn_false),
-    }
+    return {name: _prf(**block) for name, block in counts.per_class().items()}
 
 
 def _macro_f1_of(metrics: dict[str, ClassMetrics]) -> float:
@@ -150,12 +152,8 @@ class EvalReport:
         return counts
 
     @property
-    def metrics(self) -> dict[str, ClassMetrics]:
-        return class_metrics(self.counts)
-
-    @property
     def macro_f1(self) -> float:
-        return _macro_f1_of(self.metrics)
+        return _macro_f1_of(class_metrics(self.counts))
 
     def to_dict(self, include_timing: bool = True) -> dict:
         counts = self.counts
@@ -172,18 +170,7 @@ class EvalReport:
                 "claims": len(self.rows),
                 "errors": counts.error_count,
                 "abstained_subclaims": counts.abstain_count,
-                "per_class": {
-                    "true": {
-                        "tp": counts.tp_true,
-                        "fp": counts.fp_true,
-                        "fn": counts.fn_true,
-                    },
-                    "false": {
-                        "tp": counts.tp_false,
-                        "fp": counts.fp_false,
-                        "fn": counts.fn_false,
-                    },
-                },
+                "per_class": counts.per_class(),
             },
             "tokens": {
                 "prompt": self.prompt_tokens,
@@ -271,9 +258,14 @@ def run_eval(
     """
     if not instances:
         raise ValueError("no instances to evaluate")
+    seen: set[str] = set()
     for instance in instances:
         if instance.gold_label is None:
             raise ValueError(f"instance {instance.id} has no gold label")
+        # Each claim's trace is written under its id.
+        if instance.id in seen:
+            raise ValueError(f"duplicate instance id {instance.id!r}")
+        seen.add(instance.id)
     if workers < 1:
         raise ValueError("workers must be >= 1")
 

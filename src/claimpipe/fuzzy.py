@@ -14,7 +14,6 @@ skips work only where the skip provably leaves it unchanged.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress
@@ -113,19 +112,13 @@ class Profile:
     lengths, so the unique tokens joined by single spaces are
     ``token_chars + len(tokens) - 1`` characters long. ``sorted_tokens``, that
     join in sorted order, is built on first use: only :func:`token_set_ratio`
-    needs it, and only when it runs an LCS. ``counts``, each character's
-    number of occurrences, is also built on first use; no score reads it.
+    needs it, and only when it runs an LCS.
     """
 
     def __init__(self, text: str):
-        self.text = text
         self.chars = frozenset(text)
         self.tokens = frozenset(text.split())
         self.token_chars = sum(map(len, self.tokens))
-
-    @cached_property
-    def counts(self) -> Counter[str]:
-        return Counter(self.text)
 
     @cached_property
     def sorted_tokens(self) -> str:

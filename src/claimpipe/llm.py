@@ -88,6 +88,9 @@ def _is_http_url(url: str) -> bool:
 # The userinfo of a URL: what precedes the last "@" of its authority, which
 # starts after "scheme://", after "//", or at the start of a URL without them.
 _USERINFO_RE = re.compile(r"^((?:[A-Za-z][A-Za-z0-9+.-]*:)?//)?[^/?#]*@")
+# A malformed URL's authority can end at a "/", "?" or "#" in the password:
+# an error message hides what follows any "scheme://" up to the last "@".
+_ANY_USERINFO_RE = re.compile(r"^((?:[A-Za-z][A-Za-z0-9+.-]*:)?//)?.*@")
 # What urlsplit drops before it parses: leading controls and spaces, and every
 # tab and line break.
 _URL_DROPPED_RE = re.compile(r"^[\x00-\x20]+|[\t\r\n]")
@@ -116,9 +119,12 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         if self.kind is BackendKind.HTTP_CHAT and not _is_http_url(self.endpoint_url):
+            shown = _ANY_USERINFO_RE.sub(
+                r"\1***@", public_endpoint(self.endpoint_url), count=1
+            )
             raise ValueError(
                 "http backend requires an endpoint: an http or https URL with a "
-                f"host, got {public_endpoint(self.endpoint_url)!r}"
+                f"host, got {shown!r}"
             )
         if self.kind is BackendKind.SCRIPTED and not self.script_path:
             raise ValueError("scripted backend requires a script path")

@@ -17,6 +17,7 @@ original error, and each parser names its own stage.
 """
 from __future__ import annotations
 
+import math
 import re
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
@@ -212,7 +213,8 @@ class StagePlan:
     ``abstraction`` is ``"keyword"`` (extract keywords, select them per piece
     and summarize each piece under its keywords), ``"claim"`` (summarize each
     piece under the claim) or None (no abstraction). ``select`` applies the
-    t1/t2 thresholds; without it every keyword reaches every piece.
+    t1/t2 thresholds; without it selection runs with thresholds of
+    ``-math.inf``, so every keyword reaches every piece with its scores.
     """
 
     abstraction: str | None
@@ -334,28 +336,6 @@ def parse_verdict_answer(completion: str) -> tuple[Verdict, bool]:
     return verdict, False
 
 
-def _scores(
-    keywords: list[str] | tuple[str, ...], evidence_text: str
-) -> Iterator[tuple[str, float, float]]:
-    """Each keyword with its partial and token-set score against one
-    evidence text, in keyword order."""
-    evidence_norm = fuzzy.preprocess(evidence_text).normalized
-    for keyword in keywords:
-        keyword_norm = fuzzy.preprocess(keyword).normalized
-        yield (
-            keyword,
-            fuzzy.partial_ratio(keyword_norm, evidence_norm),
-            fuzzy.token_set_ratio(keyword_norm, evidence_norm),
-        )
-
-
-def score_keywords(
-    keywords: list[str] | tuple[str, ...], evidence_text: str
-) -> list[SelectedKeyword]:
-    """Score every keyword against one evidence text, preserving order."""
-    return [SelectedKeyword(*scored) for scored in _scores(keywords, evidence_text)]
-
-
 def select_keywords(
     keywords: list[str] | tuple[str, ...],
     evidence_text: str,
@@ -363,14 +343,19 @@ def select_keywords(
     t2: float = 60.0,
     evidence_index: int = 0,
 ) -> KeywordSet:
-    """Keep keywords whose partial or token-set score strictly exceeds its
-    threshold. Order follows the input keyword list."""
-    selected = tuple(
-        SelectedKeyword(keyword, partial, token_set)
-        for keyword, partial, token_set in _scores(keywords, evidence_text)
-        if partial > t1 or token_set > t2
-    )
-    return KeywordSet(evidence_index=evidence_index, selected=selected)
+    """Score each keyword against one evidence text and keep those whose
+    partial or token-set score strictly exceeds its threshold, with both
+    scores. Order follows the input keyword list. Every score exceeds
+    ``-math.inf``, so thresholds of ``-math.inf`` keep every keyword."""
+    evidence_norm = fuzzy.preprocess(evidence_text).normalized
+    selected = []
+    for keyword in keywords:
+        keyword_norm = fuzzy.preprocess(keyword).normalized
+        partial_score = fuzzy.partial_ratio(keyword_norm, evidence_norm)
+        token_set_score = fuzzy.token_set_ratio(keyword_norm, evidence_norm)
+        if partial_score > t1 or token_set_score > t2:
+            selected.append(SelectedKeyword(keyword, partial_score, token_set_score))
+    return KeywordSet(evidence_index=evidence_index, selected=tuple(selected))
 
 
 def aggregate(results: list[SubclaimResult] | tuple[SubclaimResult, ...]) -> Verdict:
@@ -562,19 +547,13 @@ class ClaimVerifier:
             calls: list[Call] = []
             if plan.abstraction == "keyword":
                 keywords = self.extract_keywords(claim, trace)
-                keyword_sets = [
-                    select_keywords(
-                        keywords,
-                        piece.text,
-                        t1=self.config.t1,
-                        t2=self.config.t2,
-                        evidence_index=index,
-                    )
+                t1, t2 = (
+                    (self.config.t1, self.config.t2)
                     if plan.select
-                    else KeywordSet(
-                        evidence_index=index,
-                        selected=tuple(score_keywords(keywords, piece.text)),
-                    )
+                    else (-math.inf, -math.inf)
+                )
+                keyword_sets = [
+                    select_keywords(keywords, piece.text, t1, t2, evidence_index=index)
                     for index, piece in enumerate(instance.evidence)
                 ]
                 abstract = partial(self.abstract_evidence, trace=trace)

@@ -89,12 +89,13 @@ def preprocess_oracle(text: str) -> str:
     return " ".join(spaced.split())
 
 
-def macro_f1_oracle(predictions: list[bool], golds: list[bool]) -> float:
-    """Macro-F1 over the two classes from an explicit confusion dict."""
+def per_class_oracle(predictions: list[bool], golds: list[bool]) -> dict[bool, dict]:
+    """Per class, keyed by the class's verdict: tp, fp and fn from an explicit
+    confusion dict, then precision, recall and f1 from those."""
     matrix = {(p, g): 0 for p in (True, False) for g in (True, False)}
     for predicted, gold in zip(predictions, golds):
         matrix[(predicted, gold)] += 1
-    f1_values = []
+    classes = {}
     for positive in (True, False):
         tp = matrix[(positive, positive)]
         fp = matrix[(positive, not positive)]
@@ -102,7 +103,17 @@ def macro_f1_oracle(predictions: list[bool], golds: list[bool]) -> float:
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         if precision + recall:
-            f1_values.append(2 * precision * recall / (precision + recall))
+            f1 = 2 * precision * recall / (precision + recall)
         else:
-            f1_values.append(0.0)
-    return 100.0 * sum(f1_values) / 2.0
+            f1 = 0.0
+        classes[positive] = {
+            "tp": tp, "fp": fp, "fn": fn,
+            "precision": precision, "recall": recall, "f1": f1,
+        }
+    return classes
+
+
+def macro_f1_oracle(predictions: list[bool], golds: list[bool]) -> float:
+    """Macro-F1 over the two classes from an explicit confusion dict."""
+    classes = per_class_oracle(predictions, golds)
+    return 100.0 * sum(classes[positive]["f1"] for positive in (True, False)) / 2.0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
@@ -16,13 +17,14 @@ from conftest import (
 from claimpipe.data import load_generic
 from claimpipe.evaluation import (
     ClaimRow,
+    EvalReport,
     comparison_table,
     confusion,
     macro_f1,
     run_ablation_matrix,
     run_eval,
 )
-from claimpipe.llm import ResponseCache
+from claimpipe.llm import CompletionClient, ResponseCache
 from claimpipe.pipeline import (
     Ablation,
     ClaimInstance,
@@ -258,6 +260,25 @@ class TestRunEval:
         with pytest.raises(ValueError, match="backends"):
             run_eval(instances, bare, prompt_library)
 
+    def test_repeated_ids_rejected_before_any_call(
+        self, six_bundle, prompt_library, tmp_path, monkeypatch
+    ):
+        # Both claims' traces would be written to the one file same.json.
+        first, second = load_generic(six_bundle.dataset_path)[:2]
+        twice = [dataclasses.replace(inst, id="same") for inst in (first, second)]
+        config = scripted_config(six_bundle.script_path)
+        prompts: list[str] = []
+
+        def record(client, prompt):
+            prompts.append(prompt)
+
+        monkeypatch.setattr(CompletionClient, "complete_prompt", record)
+        trace_dir = tmp_path / "traces"
+        with pytest.raises(ValueError, match="duplicate instance id 'same'"):
+            run_eval(twice, config, prompt_library, trace_dir=trace_dir)
+        assert prompts == []
+        assert not trace_dir.exists()
+
     def test_table_output(self, six_bundle, prompt_library):
         instances = load_generic(six_bundle.dataset_path)
         config = scripted_config(six_bundle.script_path, with_claim_context=True)
@@ -332,6 +353,69 @@ class TestAblationMatrix:
             )
         with pytest.raises(ValueError, match="at least one"):
             run_ablation_matrix(tiny_instances(), config, prompt_library, [])
+
+
+def report_row(gold: bool, predicted: bool, abstained: int, error: bool) -> ClaimRow:
+    """A row as ``run_eval`` makes it: a failed claim is predicted False and
+    has no subclaim results."""
+    gold_verdict = Verdict.from_bool(gold)
+    if error:
+        return ClaimRow("c", gold_verdict, F, error=True, error_message="e")
+    return ClaimRow("c", gold_verdict, Verdict.from_bool(predicted), abstained)
+
+
+class TestEvalReport:
+    @given(
+        st.lists(
+            st.builds(
+                report_row,
+                st.booleans(),
+                st.booleans(),
+                st.integers(min_value=0, max_value=3),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_counts_metrics_and_table_match_the_oracle(self, rows):
+        report = EvalReport(config={}, rows=rows)
+        predictions = [row.predicted.as_bool() for row in rows]
+        golds = [row.gold.as_bool() for row in rows]
+        classes = oracles.per_class_oracle(predictions, golds)
+        macro = oracles.macro_f1_oracle(predictions, golds)
+        errors = sum(row.error for row in rows)
+        abstained = sum(row.abstained_subclaims for row in rows)
+        names = {"true": classes[True], "false": classes[False]}
+        ratios = ("precision", "recall", "f1")
+
+        out = report.to_dict()
+        assert out["counts"] == {
+            "claims": len(rows),
+            "errors": errors,
+            "abstained_subclaims": abstained,
+            "per_class": {
+                name: {key: got[key] for key in ("tp", "fp", "fn")}
+                for name, got in names.items()
+            },
+        }
+        assert out["metrics"] == {
+            "macro_f1": macro,
+            "per_class": {
+                name: {key: got[key] for key in ratios}
+                for name, got in names.items()
+            },
+        }
+        figures = [line.split() for line in report.to_table().splitlines()[1:]]
+        assert figures == [
+            *(
+                [name] + [f"{100 * got[key]:.2f}" for key in ratios]
+                for name, got in names.items()
+            ),
+            ["macro_f1", f"{macro:.2f}"],
+            ["claims", str(len(rows)), "errors", str(errors)]
+            + ["abstained_subclaims", str(abstained)],
+        ]
 
 
 class TestClaimRow:

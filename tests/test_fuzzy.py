@@ -310,7 +310,6 @@ class TestProfilePath:
         assert profile("spam and eggs") is profile("spam and eggs")
         assert profile("spam and eggs").tokens == {"spam", "and", "eggs"}
         assert profile("spam and eggs").sorted_tokens == "and eggs spam"
-        assert profile("spam and eggs").counts["a"] == 2
 
     @given(PIECE, st.lists(KEYWORD, min_size=2, max_size=8))
     def test_many_needles_against_one_haystack(self, haystack, needles):

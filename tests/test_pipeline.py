@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -33,7 +34,6 @@ from claimpipe.pipeline import (
     parse_keyword_list,
     parse_subclaims,
     parse_verdict_answer,
-    score_keywords,
     select_keywords,
 )
 from claimpipe.prompts import format_evidence_block
@@ -251,10 +251,10 @@ class TestSelectKeywords:
     def test_selection_is_scoring_filtered_by_the_thresholds(
         self, keywords, evidence, t1, t2
     ):
+        scored = select_keywords(keywords, evidence, -math.inf, -math.inf).selected
+        assert [s.keyword for s in scored] == keywords
         kept = tuple(
-            scored
-            for scored in score_keywords(keywords, evidence)
-            if scored.partial_score > t1 or scored.token_set_score > t2
+            s for s in scored if s.partial_score > t1 or s.token_set_score > t2
         )
         assert select_keywords(keywords, evidence, t1, t2, evidence_index=2) == (
             KeywordSet(evidence_index=2, selected=kept)
