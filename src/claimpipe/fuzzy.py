@@ -11,9 +11,20 @@ token set and the total length of its tokens) is kept in a
 cache. What :func:`partial_ratio` needs of the needle alone (the bit set of
 each character's positions) is kept the same way, once per needle. A score
 skips work only where the skip provably leaves it unchanged.
+
+No score walks a whole piece in Python where a shorter walk gives the same
+number. :func:`indel_distance` answers a short side that is a subsequence
+of the long side from lengths, and otherwise runs its LCS over only the
+long side's characters that occur in the short one, picked out by a regex.
+:func:`partial_ratio` tries the windows aligned with every occurrence of
+either half of the needle before it counts anything over the haystack, and
+stops as soon as one reaches the bound, usually a single edit away.
+:func:`token_set_ratio` returns from lengths alone when no distance between
+the suffixes could raise the score.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress
@@ -26,7 +37,8 @@ from typing import Iterator
 PROFILE_CACHE_SIZE = 16
 # Position masks of the most recent needles. A claim scores the same few
 # keywords against each of its pieces in turn, so each worker thread needs
-# one entry per keyword of its claim.
+# one entry per keyword of its claim. The character classes of the short
+# sides of :func:`indel_distance` are kept the same way.
 NEEDLE_CACHE_SIZE = 64
 
 
@@ -74,7 +86,9 @@ def _lcs_length(masks: dict[str, int], full: int, text: str) -> int:
     one bit per character of it; ``text`` is the other string. A zero bit of
     ``v`` marks a row where the LCS grew, so the LCS length is the number of
     zero bits left. Characters missing from ``masks`` leave ``v`` unchanged
-    and are skipped. Python ints make the words any width.
+    and are skipped, so ``text`` may as well hold only the characters that
+    ``masks`` has, as :func:`indel_distance` passes it. Python ints make the
+    words any width.
     """
     v = full
     for mask in filter(None, map(masks.get, text)):
@@ -89,13 +103,34 @@ def _ratio(dist: int, total: int) -> float:
     return 100.0 * (1.0 - dist / total)
 
 
+@lru_cache(maxsize=NEEDLE_CACHE_SIZE)
+def _char_class(text: str) -> re.Pattern[str]:
+    """A pattern matching any one character of the non-empty ``text``."""
+    return re.compile("[" + "".join(map(re.escape, dict.fromkeys(text))) + "]")
+
+
 def indel_distance(a: str, b: str) -> int:
-    """Minimum number of insertions plus deletions turning ``a`` into ``b``."""
+    """Minimum number of insertions plus deletions turning ``a`` into ``b``.
+
+    With ``a`` the shorter side, the LCS is all of ``a`` exactly when ``a``
+    is a subsequence of ``b``, which a greedy left-to-right search settles
+    without a bit-parallel pass. Otherwise the LCS runs over the characters
+    of ``b`` that occur in ``a``, taken out by one character class; the
+    others could not change it.
+    """
     if a == b:
         return 0
     if len(a) > len(b):
         a, b = b, a
-    lcs = _lcs_length(_char_masks(a), (1 << len(a)) - 1, b)
+    at = 0
+    for ch in a:
+        at = b.find(ch, at) + 1
+        if not at:
+            break
+    else:
+        return len(b) - len(a)
+    shared = "".join(_char_class(a).findall(b))
+    lcs = _lcs_length(_char_masks(a), (1 << len(a)) - 1, shared)
     return len(a) + len(b) - 2 * lcs
 
 
@@ -145,12 +180,17 @@ def partial_ratio(needle: str, haystack: str) -> float:
     the best LCS of a window with the needle lies between 1 and a bound: no
     window equals the needle, and none shares more characters with it than
     the whole haystack does. A needle sharing no character with the
-    haystack, by its :func:`profile`, has a bound of 0 and scores 0;
-    otherwise the bound is counted per character of the needle. The needle's
-    position masks are built once per needle. The scan stops when a window
-    reaches the bound;
-    the windows aligned with either half of the needle are scored first,
-    since a near match keeps one half intact. No rule changes the score:
+    haystack, by its :func:`profile`, has a bound of 0 and scores 0. The
+    first bound, ``len(needle) - 1`` less the needle's characters that the
+    profile lacks, needs no pass over the haystack. The needle's position
+    masks are built once per needle.
+
+    The windows aligned with each occurrence of either half of the needle
+    are scored first (see :func:`_seed_starts`), until one reaches the
+    bound. Only if none does is the haystack counted, per character of the
+    needle, for a tighter bound, and only if that is still above the best
+    LCS are the other windows scanned. The scan stops when a window reaches
+    the bound. No rule changes the score:
 
     * A window whose first character is not in the needle never beats the
       window one step later, so such windows are skipped, except the last.
@@ -166,20 +206,29 @@ def partial_ratio(needle: str, haystack: str) -> float:
     if needle in haystack:
         return 100.0
     masks = _needle_masks(needle)
-    if profile(haystack).chars.isdisjoint(masks):
+    present = profile(haystack).chars
+    if present.isdisjoint(masks):
         return 0.0
     size = len(needle)
-    # Only a window equal to the needle has an LCS of len(needle).
-    bound = min(
-        size - 1,
-        sum(min(mask.bit_count(), haystack.count(ch)) for ch, mask in masks.items()),
-    )
+    # Only a window equal to the needle has an LCS of len(needle), and none
+    # holds a needle character that the haystack lacks.
+    bound = size - 1
+    if not present.issuperset(masks):
+        bound = sum(m.bit_count() for ch, m in masks.items() if ch in present)
     # Some window holds a shared character.
     best = 1
     full = (1 << size) - 1
     last = len(haystack) - size
     for start in _seed_starts(needle, haystack, last):
+        if best == bound:
+            break
         best = max(best, _lcs_length(masks, full, haystack[start : start + size]))
+    if best < bound:
+        # Nor more of a character than the haystack holds.
+        bound = min(
+            bound,
+            sum(min(mask.bit_count(), haystack.count(ch)) for ch, mask in masks.items()),
+        )
     if best < bound:
         in_needle = list(map(masks.__contains__, haystack))
         sums = list(accumulate(in_needle, initial=0))
@@ -194,14 +243,24 @@ def partial_ratio(needle: str, haystack: str) -> float:
 
 
 def _seed_starts(needle: str, haystack: str, last: int) -> Iterator[int]:
-    """Starts of the windows aligned with the first occurrence of each half
-    of the needle, clamped to [0, last]. A window one edit away from the
-    needle keeps one half intact, so these windows often score the best."""
+    """Starts of the windows aligned with each occurrence of the second half
+    of the needle, then of the first, clamped to [0, last], each start once.
+
+    A window one edit away from the needle keeps one half intact, so these
+    windows often score the best, but the first occurrence of the intact
+    half need not lie in such a window. The second half is the longer one,
+    so it occurs less often and is tried first. Occurrences are found as
+    the caller draws starts, and it stops drawing at the bound."""
     half = len(needle) // 2
-    for part, offset in ((needle[:half], 0), (needle[half:], half)):
+    seen = set()
+    for part, offset in ((needle[half:], half), (needle[:half], 0)):
         at = haystack.find(part)
-        if at >= 0:
-            yield min(max(at - offset, 0), last)
+        while at >= 0:
+            start = min(max(at - offset, 0), last)
+            if start not in seen:
+                seen.add(start)
+                yield start
+            at = haystack.find(part, at + 1)
 
 
 def _without(sorted_tokens: str, tokens: list[str]) -> str:
@@ -225,9 +284,13 @@ def token_set_ratio(a: str, b: str) -> float:
     ``b``'s token set, token lengths, sorted tokens and characters come from
     its :func:`profile`, so only ``a`` is split and sorted per call. b's
     combined string d2 holds every token of ``b`` once, so its length and
-    its number of spaces follow from the profile without building it. Two
+    its number of spaces follow from the profile without building it. Three
     exits skip work without changing the score. When every token of ``a``
-    is in ``b``, t0 equals a's combined string and the score is 100. When
+    is in ``b``, t0 equals a's combined string and the score is 100. The
+    suffixes' distance is at least the difference of their lengths; when
+    even that distance would not beat the two length-only ratios, their
+    maximum is the score, and neither d2 nor a distance is computed. This
+    is the usual case for a keyword sharing a token with a long piece. When
     a's leftover tokens share no character with ``b``, only the separating
     spaces of the two suffixes can match, so their LCS is the smaller
     number of spaces, and neither d2 nor an LCS is computed.
@@ -245,6 +308,13 @@ def token_set_ratio(a: str, b: str) -> float:
     # d2 is b's unique tokens, t0 first, joined by single spaces.
     tokens_b = len(b_profile.tokens)
     len_d2 = b_profile.token_chars + tokens_b - 1 if tokens_b else 0
+    by_lengths = max(
+        _ratio(len(d1) - prefix, prefix + len(d1)),
+        _ratio(len_d2 - prefix, prefix + len_d2),
+    )
+    total = len(d1) + len_d2
+    if _ratio(abs(len(d1) - len_d2), total) <= by_lengths:
+        return by_lengths
     if b_profile.chars.isdisjoint("".join(only_a)):
         # s2 is d2 after t0: its spaces are d2's, less those inside t0.
         spaces_s2 = tokens_b - len(common) if common else max(tokens_b - 1, 0)
@@ -253,8 +323,4 @@ def token_set_ratio(a: str, b: str) -> float:
         rest = _without(b_profile.sorted_tokens, common)
         d2 = f"{t0} {rest}" if t0 and rest else t0 + rest
         dist = indel_distance(s1, d2[prefix:])
-    return max(
-        _ratio(len(d1) - prefix, prefix + len(d1)),
-        _ratio(len_d2 - prefix, prefix + len_d2),
-        _ratio(dist, len(d1) + len_d2),
-    )
+    return max(by_lengths, _ratio(dist, total))

@@ -77,12 +77,23 @@ class BackendKind(str, Enum):
 
 
 def _is_http_url(url: str) -> bool:
+    """Whether ``url`` is an http(s) URL with a host and no "@" after it.
+
+    A "/", "?" or "#" in a password ends the authority early, so urlsplit
+    would read the user as the host and the password's start as the port,
+    and the request would go there; the "@" that ended the userinfo is left
+    in the path, query or fragment.
+    """
     try:
         parts = urlsplit(url)
         parts.port  # raises on a port that is not a number in range
     except ValueError:
         return False
-    return parts.scheme in ("http", "https") and bool(parts.hostname)
+    return (
+        parts.scheme in ("http", "https")
+        and bool(parts.hostname)
+        and "@" not in parts.path + parts.query + parts.fragment
+    )
 
 
 # The userinfo of a URL: what precedes the last "@" of its authority, which
@@ -124,7 +135,8 @@ class BackendConfig:
             )
             raise ValueError(
                 "http backend requires an endpoint: an http or https URL with a "
-                f"host, got {shown!r}"
+                "host and no '@' after it (percent-encode a '/' or '@' in a "
+                f"password), got {shown!r}"
             )
         if self.kind is BackendKind.SCRIPTED and not self.script_path:
             raise ValueError("scripted backend requires a script path")
