@@ -28,7 +28,7 @@ from .data import (
 )
 # ``verify`` reads its evidence file with the loaders' own entry rules.
 from .data import load_evidence as _read_evidence_file
-from .evaluation import EvalReport, comparison_table, run_ablation_matrix, run_eval
+from .evaluation import EvalReport, comparison_table, run_ablation_matrix, run_into
 from .llm import BackendConfig, BackendError, BackendKind, ResponseCache, TransportError
 from .pipeline import (
     Ablation,
@@ -285,22 +285,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = _build_pipeline_config(options, Ablation.NONE)
     prompts = PromptLibrary.load(options["prompts_dir"])
     cache = ResponseCache(options["cache_dir"])
-    trace_dir = Path(options["out"]) / "traces" if options["out"] else None
-    report = run_eval(
-        instances,
-        config,
-        prompts,
-        cache=cache,
-        workers=options["workers"],
-        trace_dir=trace_dir,
-    )
-    table = report.to_table()
-    print(table)
-    if options["out"]:
-        out_dir = Path(options["out"])
-        write_json(out_dir / "report.json", report.to_dict())
-        (out_dir / "table.txt").write_text(table + "\n", encoding="utf-8")
-        print(f"report written to {options['out']}", file=sys.stderr)
+    out = options["out"]
+    report = run_into(out, instances, config, prompts, cache, options["workers"])
+    print(report.to_table())
+    if out:
+        print(f"report written to {out}", file=sys.stderr)
     return _outage_status([report])
 
 
@@ -342,21 +331,17 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         workers=options["workers"],
         out_dir=options["out"],
     )
-    table = comparison_table(reports)
-    print(table)
+    print(comparison_table(reports))
     if options["out"]:
-        out_dir = Path(options["out"])
-        for report in reports:
-            write_json(out_dir / report.variant.value / "report.json", report.to_dict())
-        (out_dir / "comparison.txt").write_text(table + "\n", encoding="utf-8")
-        print(f"reports written to {out_dir}", file=sys.stderr)
+        print(f"reports written to {options['out']}", file=sys.stderr)
     return _outage_status(reports)
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """Print the cache's directory, its segment keys as ``entries:`` and the
     size of its files as ``bytes:``; with ``--clear``, remove those files,
-    the older format's ``<key>.json`` entries and ``*.tmp`` files too."""
+    the older format's ``<key>.json`` entries and ``tmp*.tmp`` files too; other
+    files in the directory are not the cache's and stay."""
     options = _merge_options(args)
     directory = Path(options["cache_dir"])
     # Opening a cache creates its directory; a missing one reads as empty.

@@ -1,5 +1,5 @@
-"""Evaluation: Macro-F1 over the two verdict classes, batched runs, and the
-ablation matrix.
+"""Evaluation: Macro-F1 over the two verdict classes, batched runs, the
+ablation matrix, and the out-dir layout.
 
 A run with an HTTP backend verifies claims on a thread pool, since they wait
 on the network. A run on scripted backends only verifies them one at a time,
@@ -7,9 +7,11 @@ in input order, on the calling thread: its work is all CPU under the
 interpreter lock, where more threads only queue for the lock.
 
 A claim whose pipeline run fails is scored as predicted False and counted in
-``error_count``; evaluation never dies on one bad claim. Per-claim traces are
-written as claims finish, so an interrupted run keeps what it has done. It
-starts no further claim, and ends once the claims in flight have ended.
+``error_count``; evaluation never dies on one bad claim. ``run_into`` lays a
+run out in its out-dir, and the ablation matrix lays out each variant as it
+ends. Per-claim traces are written as claims finish, so an interrupted run
+keeps what it has done. It starts no further claim, and ends once the claims
+in flight have ended.
 """
 from __future__ import annotations
 
@@ -327,6 +329,25 @@ def run_eval(
     )
 
 
+def run_into(
+    out_dir: str | Path | None,
+    instances: list[ClaimInstance],
+    config: PipelineConfig,
+    prompts: PromptLibrary,
+    cache: ResponseCache | None = None,
+    workers: int = 1,
+) -> EvalReport:
+    """``run_eval`` laid out in ``out_dir``: ``traces/`` as claims finish, then
+    ``report.json`` and ``table.txt``. With no ``out_dir``, just ``run_eval``."""
+    out = Path(out_dir) if out_dir else None
+    trace_dir = None if out is None else out / "traces"
+    report = run_eval(instances, config, prompts, cache, workers, trace_dir)
+    if out is not None:
+        write_json(out / "report.json", report.to_dict())
+        (out / "table.txt").write_text(report.to_table() + "\n", encoding="utf-8")
+    return report
+
+
 def run_ablation_matrix(
     instances: list[ClaimInstance],
     base_config: PipelineConfig,
@@ -337,27 +358,21 @@ def run_ablation_matrix(
     out_dir: str | Path | None = None,
 ) -> list[EvalReport]:
     """Run one evaluation per variant, sharing the response cache so prompts
-    that coincide across variants are completed once."""
+    that coincide across variants are completed once. Each variant is laid
+    out in ``out_dir/<variant>`` as it ends; ``comparison.txt`` follows."""
     if not variants:
         raise ValueError("need at least one variant")
     if len(set(variants)) != len(variants):
         raise ValueError("duplicate variants requested")
+    out = Path(out_dir) if out_dir else None
     reports = []
     for variant in variants:
         config = dataclasses.replace(base_config, ablation=variant)
-        trace_dir = None
-        if out_dir is not None:
-            trace_dir = Path(out_dir) / variant.value / "traces"
-        reports.append(
-            run_eval(
-                instances,
-                config,
-                prompts,
-                cache=cache,
-                workers=workers,
-                trace_dir=trace_dir,
-            )
-        )
+        variant_dir = None if out is None else out / variant.value
+        reports.append(run_into(variant_dir, instances, config, prompts, cache, workers))
+    if out is not None:
+        table = comparison_table(reports)
+        (out / "comparison.txt").write_text(table + "\n", encoding="utf-8")
     return reports
 
 

@@ -209,11 +209,14 @@ def cache_key(request: CompletionRequest) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-_SEGMENT_SUFFIX = ".jsonl"
-# The one-file-per-entry format that segments replaced: ``<key>.json``
-# entries, and ``.tmp`` files left by an interrupted put. Never read; ``clear``
-# removes them.
-_LEGACY_SUFFIXES = (".json", ".tmp")
+# The names of the files the cache writes: its segments, and from the
+# one-file-per-entry format that segments replaced, ``<key>.json`` entries and
+# the ``mkstemp`` files an interrupted put left. Only segments are read;
+# ``clear`` removes all three. A directory's other files are not the cache's.
+_SEGMENT_NAME = re.compile(r"[0-9]+-[0-9]+\.jsonl")
+_CACHE_FILE_NAME = re.compile(
+    rf"{_SEGMENT_NAME.pattern}|[0-9a-f]{{64}}\.json|tmp\w+\.tmp"
+)
 
 
 class ResponseCache:
@@ -239,7 +242,7 @@ class ResponseCache:
         self._index: dict[str, CompletionResponse] = {}
         with os.scandir(self.directory) as listing:
             segments = sorted(
-                item.name for item in listing if item.name.endswith(_SEGMENT_SUFFIX)
+                item.name for item in listing if _SEGMENT_NAME.fullmatch(item.name)
             )
         for name in segments:
             self._index_segment(self.directory / name)
@@ -284,7 +287,7 @@ class ResponseCache:
             flags = os.O_WRONLY | os.O_APPEND
             if self._segment is None:
                 flags |= os.O_CREAT | os.O_EXCL
-                name = f"{time.time_ns()}-{os.getpid()}{_SEGMENT_SUFFIX}"
+                name = f"{time.time_ns()}-{os.getpid()}.jsonl"
                 segment = self.directory / name
             else:
                 segment = self._segment
@@ -309,11 +312,12 @@ class ResponseCache:
 
     def files(self) -> list[Path]:
         """Every file ``clear`` removes: segments, and legacy entries and
-        orphans of the older format."""
-        suffixes = (_SEGMENT_SUFFIX, *_LEGACY_SUFFIXES)
+        orphans of the older format, each known by its whole name."""
         with os.scandir(self.directory) as listing:
             return sorted(
-                Path(item.path) for item in listing if item.name.endswith(suffixes)
+                Path(item.path)
+                for item in listing
+                if _CACHE_FILE_NAME.fullmatch(item.name)
             )
 
     def clear(self) -> int:

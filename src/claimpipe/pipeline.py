@@ -336,6 +336,10 @@ def parse_verdict_answer(completion: str) -> tuple[Verdict, bool]:
     return verdict, False
 
 
+def _no_overlap(keyword_norm: str, evidence_norm: str) -> float:
+    return 0.0
+
+
 def select_keywords(
     keywords: list[str] | tuple[str, ...],
     evidence_text: str,
@@ -346,13 +350,21 @@ def select_keywords(
     """Score each keyword against one evidence text and keep those whose
     partial or token-set score strictly exceeds its threshold, with both
     scores. Order follows the input keyword list. Every score exceeds
-    ``-math.inf``, so thresholds of ``-math.inf`` keep every keyword."""
+    ``-math.inf``, so thresholds of ``-math.inf`` keep every keyword.
+
+    The scorers rate an empty side a full match, but a piece that normalizes
+    to nothing shares nothing with any keyword: each scores 0 on both, so no
+    threshold in [0, 100] keeps it."""
     evidence_norm = fuzzy.preprocess(evidence_text).normalized
+    if evidence_norm:
+        partial_ratio, token_set_ratio = fuzzy.partial_ratio, fuzzy.token_set_ratio
+    else:
+        partial_ratio = token_set_ratio = _no_overlap
     selected = []
     for keyword in keywords:
         keyword_norm = fuzzy.preprocess(keyword).normalized
-        partial_score = fuzzy.partial_ratio(keyword_norm, evidence_norm)
-        token_set_score = fuzzy.token_set_ratio(keyword_norm, evidence_norm)
+        partial_score = partial_ratio(keyword_norm, evidence_norm)
+        token_set_score = token_set_ratio(keyword_norm, evidence_norm)
         if partial_score > t1 or token_set_score > t2:
             selected.append(SelectedKeyword(keyword, partial_score, token_set_score))
     return KeywordSet(evidence_index=evidence_index, selected=tuple(selected))

@@ -28,6 +28,7 @@ from claimpipe.llm import (
     Script,
     cache_key,
 )
+from claimpipe.pipeline import ClaimVerifier
 
 
 def write_json(path, payload):
@@ -627,6 +628,68 @@ class TestAblateCommand:
             assert (out_dir / name / "report.json").exists()
         assert (out_dir / "comparison.txt").exists()
 
+    def test_an_interrupted_run_keeps_its_finished_variants(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        verify_claim = ClaimVerifier.verify_claim
+
+        def interrupt_second_variant(self, instance):
+            if self.config.ablation is cli.Ablation.NO_CLAIM_DECONSTRUCTION:
+                if instance.id == "t2":
+                    raise KeyboardInterrupt
+            return verify_claim(self, instance)
+
+        monkeypatch.setattr(ClaimVerifier, "verify_claim", interrupt_second_variant)
+        script = write_regex_script(tmp_path / "script.json")
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "ablate",
+                "--data-path", str(tiny_dataset_file(tmp_path)),
+                "--variants", "none,no-cd,no-raw",
+                "--out", str(out_dir),
+                *scripted_args(script, tmp_path / "cache"),
+            ]
+        )
+        assert code == 130
+        report = json.loads((out_dir / "none" / "report.json").read_text())
+        assert report["counts"]["claims"] == 2
+        assert (out_dir / "none" / "table.txt").read_text().startswith("class")
+        # The interrupted variant keeps the trace it finished, and no report.
+        assert [p.name for p in (out_dir / "no-cd").rglob("*.json")] == ["t1.json"]
+        assert not (out_dir / "no-raw").exists()
+        assert not (out_dir / "comparison.txt").exists()
+
+    def test_a_variant_dir_has_the_eval_layout(self, tmp_path, capsys):
+        script = write_regex_script(tmp_path / "script.json")
+        common = [
+            "--data-path", str(tiny_dataset_file(tmp_path)),
+            *scripted_args(script, tmp_path / "cache"),
+        ]
+        assert main(["eval", *common, "--out", str(tmp_path / "E")]) == 0
+        ablate = ["ablate", "--variants", "none", *common, "--out", str(tmp_path / "A")]
+        assert main(ablate) == 0
+
+        def layout(root):
+            """Each file's bytes by its path under root; a report's timing
+            block, which reads the clock, is cut out."""
+            timing = re.compile(rb'\n  "timing": \{.*?\n  \}', re.DOTALL)
+            return {
+                path.relative_to(root).as_posix(): timing.sub(b"", path.read_bytes())
+                for path in root.rglob("*")
+                if path.is_file()
+            }
+
+        expected = layout(tmp_path / "E")
+        assert sorted(expected) == [
+            "report.json", "table.txt", "traces/t1.json", "traces/t2.json"
+        ]
+        assert b'"timing"' not in expected["report.json"]
+        assert layout(tmp_path / "A" / "none") == expected
+        assert sorted(p.name for p in (tmp_path / "A").iterdir()) == [
+            "comparison.txt", "none"
+        ]
+
     def test_default_runs_all_variants(self, tmp_path, capsys):
         script = write_regex_script(tmp_path / "script.json")
         data = tiny_dataset_file(tmp_path)
@@ -724,7 +787,7 @@ class TestCacheCommand:
         cache.put("a", CompletionResponse(text="x"))
         cache.put("b", CompletionResponse(text="y"))
         (cache_dir / "1-1.jsonl").write_text('["a", "other", 0, 0]\n', encoding="utf-8")
-        (cache_dir / "c.json").write_text('{"text": "z"}', encoding="utf-8")
+        (cache_dir / f"{'c' * 64}.json").write_text('{"text": "z"}', encoding="utf-8")
         (cache_dir / "tmpabc.tmp").write_text('{"text"', encoding="utf-8")
         size = sum(path.stat().st_size for path in cache_dir.iterdir())
 
@@ -736,6 +799,48 @@ class TestCacheCommand:
         assert main(["cache", "--cache-dir", str(cache_dir), "--clear"]) == 0
         assert "removed: 2" in capsys.readouterr().out
         assert list(cache_dir.iterdir()) == []
+
+    def test_clear_keeps_files_the_cache_never_wrote(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        ResponseCache(cache_dir).put("a", CompletionResponse(text="x"))
+        (segment,) = cache_dir.iterdir()
+        foreign = {
+            "claims.jsonl": '["b", "y", 0, 0]\n',
+            "config.json": "{}",
+            "report.json": "{}",
+            "notes.tmp": "",
+            f"{'C' * 64}.json": "{}",
+        }
+        for name, text in foreign.items():
+            (cache_dir / name).write_text(text, encoding="utf-8")
+        cache = ResponseCache(cache_dir)
+        assert cache.entries() == ["a"]
+        assert cache.files() == [segment]
+
+        assert main(["cache", "--cache-dir", str(cache_dir), "--clear"]) == 0
+        assert "removed: 1" in capsys.readouterr().out
+        assert sorted(path.name for path in cache_dir.iterdir()) == sorted(foreign)
+
+    def test_clear_in_an_eval_out_dir_keeps_the_run_outputs(self, tmp_path, capsys):
+        script = write_regex_script(tmp_path / "script.json")
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "eval",
+                "--data-path", str(tiny_dataset_file(tmp_path)),
+                "--out", str(out_dir),
+                *scripted_args(script, out_dir),
+            ]
+        )
+        assert code == 0
+        outputs = sorted(out_dir.rglob("*"))
+        segments = [path for path in outputs if path.suffix == ".jsonl"]
+        assert segments and (out_dir / "report.json") in outputs
+
+        assert main(["cache", "--cache-dir", str(out_dir), "--clear"]) == 0
+        assert sorted(out_dir.rglob("*")) == [
+            path for path in outputs if path not in segments
+        ]
 
     def test_a_legacy_entry_is_completed_again_into_a_segment(
         self, monkeypatch, tmp_path, capsys

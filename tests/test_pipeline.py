@@ -187,6 +187,17 @@ class TestSelectKeywords:
         got = select_keywords(self.KEYWORDS, self.SPAM_FOOD)
         assert list(got.keywords()) == fixture_six.CLAIMS[0]["selected"][1]
 
+    @pytest.mark.parametrize("piece", ["", "!!!", "\u2014 | \u2014 | \u2014"])
+    def test_a_piece_that_normalizes_to_nothing_keeps_no_keyword(self, piece):
+        for threshold in (60.0, 0.0):
+            got = select_keywords(["abc", "def"], piece, threshold, threshold, 3)
+            assert got == KeywordSet(evidence_index=3, selected=())
+        # Without selection every keyword is kept, scoring 0 on both ratios.
+        got = select_keywords(["abc", "def"], piece, -math.inf, -math.inf)
+        assert [(s.partial_score, s.token_set_score) for s in got.selected] == [
+            (0.0, 0.0), (0.0, 0.0)
+        ]
+
     def test_exact_threshold_score_is_dropped(self):
         # "lunch food" against the second piece scores exactly 60 on the
         # partial ratio; the comparison is strict, so it must not be kept.
@@ -426,6 +437,20 @@ class TestAblations:
             TINY.evidence[1].text, ["alpha", "beta"]
         )
         assert report.trace[2].prompt_sha256 == prompt_sha256(expected)
+
+    def test_a_piece_without_content_is_not_summarized(self, tmp_path, prompt_library):
+        verifier, _ = make_verifier(tmp_path, prompt_library)
+        dashes = EvidencePiece(text="\u2014 | \u2014 | \u2014")
+        instance = dataclasses.replace(TINY, evidence=(dashes, TINY.evidence[0]))
+        report = verifier.verify_claim(instance)
+        kept = [list(s.keywords()) for s in report.keyword_sets]
+        assert kept == [[], ["alpha", "beta"]]
+        summaries = [e for e in report.trace if e.stage == "evidence_summarization"]
+        expected = prompt_library.render_evidence_summarization(
+            TINY.evidence[0].text, ["alpha", "beta"]
+        )
+        assert [e.prompt_sha256 for e in summaries] == [prompt_sha256(expected)]
+        assert [a.source_index for a in report.abstracted] == [1]
 
     def test_no_raw_evidence(self, tmp_path, prompt_library):
         verifier, _ = make_verifier(
