@@ -6,7 +6,8 @@ dataset, ``ablate`` a set of pipeline variants, and ``cache`` inspection.
 Option precedence: explicit flags beat the ``--config`` JSON file, which
 beats built-in defaults. Exit codes: 0 success, 2 configuration error,
 3 data error, 4 backend failure (for ``eval`` and ``ablate``: a transport fault
-failed every claim), 1 any other pipeline failure.
+failed every claim), 1 any other pipeline failure, or a file that could not
+be read or written (one ``error:`` line, no traceback).
 """
 from __future__ import annotations
 
@@ -223,8 +224,9 @@ def _build_backend(options: dict, model_id: str) -> BackendConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if backend.kind is BackendKind.SCRIPTED and not Path(backend.script_path).exists():
-        raise ConfigError(f"script file not found: {backend.script_path}")
+    script = backend.script_path
+    if backend.kind is BackendKind.SCRIPTED and not Path(script).is_file():
+        raise ConfigError(f"script file not found: no regular file at {script}")
     return backend
 
 
@@ -396,6 +398,11 @@ def main(argv: list[str] | None = None) -> int:
         # ConfigError, PromptError and invalid settings from the library.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # A file that could not be read or written, such as an output path
+        # with a file in the way.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

@@ -401,14 +401,13 @@ def load_generic(path: str | Path) -> list[ClaimInstance]:
 
 
 def dump_generic(instances: list[ClaimInstance], path: str | Path) -> None:
-    """Write instances as generic JSONL; inverse of load_generic."""
-    path = Path(path)
+    """Write instances as generic JSONL; inverse of load_generic. Every
+    instance needs a gold label, checked before the file is opened."""
+    for instance in instances:
+        if instance.gold_label is None:
+            raise DataError(f"instance {instance.id}: cannot dump without a gold label")
     with open(path, "w", encoding="utf-8") as fh:
         for instance in instances:
-            if instance.gold_label is None:
-                raise DataError(
-                    f"instance {instance.id}: cannot dump without a gold label"
-                )
             record = {
                 "id": instance.id,
                 "claim": instance.claim,

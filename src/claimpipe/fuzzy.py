@@ -17,8 +17,8 @@ number. :func:`indel_distance` answers a short side that is a subsequence
 of the long side from lengths, and otherwise runs its LCS over only the
 long side's characters that occur in the short one, picked out by a regex.
 :func:`partial_ratio` tries the windows aligned with every occurrence of
-either half of the needle before it counts anything over the haystack, and
-stops as soon as one reaches the bound, usually a single edit away.
+either half of the needle before it scans the others, and stops as soon
+as one reaches the bound, usually a single edit away.
 :func:`token_set_ratio` returns from lengths alone when no distance between
 the suffixes could raise the score.
 """
@@ -118,8 +118,6 @@ def indel_distance(a: str, b: str) -> int:
     of ``b`` that occur in ``a``, taken out by one character class; the
     others could not change it.
     """
-    if a == b:
-        return 0
     if len(a) > len(b):
         a, b = b, a
     at = 0
@@ -181,16 +179,14 @@ def partial_ratio(needle: str, haystack: str) -> float:
     window equals the needle, and none shares more characters with it than
     the whole haystack does. A needle sharing no character with the
     haystack, by its :func:`profile`, has a bound of 0 and scores 0. The
-    first bound, ``len(needle) - 1`` less the needle's characters that the
-    profile lacks, needs no pass over the haystack. The needle's position
-    masks are built once per needle.
+    bound, ``len(needle) - 1`` less the needle's characters that the profile
+    lacks, needs no pass over the haystack. The needle's position masks are
+    built once per needle.
 
     The windows aligned with each occurrence of either half of the needle
     are scored first (see :func:`_seed_starts`), until one reaches the
-    bound. Only if none does is the haystack counted, per character of the
-    needle, for a tighter bound, and only if that is still above the best
-    LCS are the other windows scanned. The scan stops when a window reaches
-    the bound. No rule changes the score:
+    bound. Only if none does are the other windows scanned, and the scan
+    stops when a window reaches the bound. No rule changes the score:
 
     * A window whose first character is not in the needle never beats the
       window one step later, so such windows are skipped, except the last.
@@ -223,12 +219,6 @@ def partial_ratio(needle: str, haystack: str) -> float:
         if best == bound:
             break
         best = max(best, _lcs_length(masks, full, haystack[start : start + size]))
-    if best < bound:
-        # Nor more of a character than the haystack holds.
-        bound = min(
-            bound,
-            sum(min(mask.bit_count(), haystack.count(ch)) for ch, mask in masks.items()),
-        )
     if best < bound:
         in_needle = list(map(masks.__contains__, haystack))
         sums = list(accumulate(in_needle, initial=0))

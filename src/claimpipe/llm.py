@@ -96,12 +96,11 @@ def _is_http_url(url: str) -> bool:
     )
 
 
-# The userinfo of a URL: what precedes the last "@" of its authority, which
-# starts after "scheme://", after "//", or at the start of a URL without them.
-_USERINFO_RE = re.compile(r"^((?:[A-Za-z][A-Za-z0-9+.-]*:)?//)?[^/?#]*@")
-# A malformed URL's authority can end at a "/", "?" or "#" in the password:
-# an error message hides what follows any "scheme://" up to the last "@".
-_ANY_USERINFO_RE = re.compile(r"^((?:[A-Za-z][A-Za-z0-9+.-]*:)?//)?.*@")
+# The userinfo of a URL: what follows "scheme://", "//", or the start of a
+# URL without them, up to its last "@". An accepted endpoint has no "@" after
+# its authority (see _is_http_url), so that "@" ends the userinfo urlsplit
+# reads; in a rejected one, a "/", "?" or "#" in the password is hidden too.
+_USERINFO_RE = re.compile(r"^((?:[A-Za-z][A-Za-z0-9+.-]*:)?//)?.*@")
 # What urlsplit drops before it parses: leading controls and spaces, and every
 # tab and line break.
 _URL_DROPPED_RE = re.compile(r"^[\x00-\x20]+|[\t\r\n]")
@@ -130,13 +129,10 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         if self.kind is BackendKind.HTTP_CHAT and not _is_http_url(self.endpoint_url):
-            shown = _ANY_USERINFO_RE.sub(
-                r"\1***@", public_endpoint(self.endpoint_url), count=1
-            )
             raise ValueError(
                 "http backend requires an endpoint: an http or https URL with a "
                 "host and no '@' after it (percent-encode a '/' or '@' in a "
-                f"password), got {shown!r}"
+                f"password), got {public_endpoint(self.endpoint_url)!r}"
             )
         if self.kind is BackendKind.SCRIPTED and not self.script_path:
             raise ValueError("scripted backend requires a script path")

@@ -111,6 +111,8 @@ def _is_example(record: object) -> bool:
 def _load_examples(path: Path) -> dict[str, list[FewShotExample]]:
     """Example lists by task name. A misspelt task or a malformed entry is a
     PromptError, so that no task's examples are silently dropped."""
+    if not path.is_file():
+        raise PromptError(f"{path}: not a regular file")
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -151,8 +153,8 @@ class PromptLibrary:
         templates: dict[PromptTask, PromptTemplate] = {}
         for task in PromptTask:
             path = base / f"{task.value}.txt"
-            if not path.exists():
-                raise PromptError(f"missing template file: {path}")
+            if not path.is_file():
+                raise PromptError(f"missing template file: no regular file at {path}")
             body = path.read_text(encoding="utf-8").rstrip("\n")
             template = templates[task] = PromptTemplate(
                 task=task, body=body, examples=examples.get(task.value, [])

@@ -96,7 +96,11 @@ class _Handler(BaseHTTPRequestHandler):
             index = fake.requests
             fake.requests += 1
             fake.requests_seen.append(
-                {"body": body, "auth": self.headers.get("Authorization")}
+                {
+                    "body": body,
+                    "auth": self.headers.get("Authorization"),
+                    "proxy_auth": self.headers.get("Proxy-Authorization"),
+                }
             )
             fake.paths.append(self.path)
             for kind in kinds:

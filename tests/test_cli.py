@@ -1392,3 +1392,128 @@ class TestOutputFiles:
             text = path.read_text(encoding="utf-8")
             expected = json.dumps(json.loads(text), ensure_ascii=False, indent=2)
             assert text == expected + "\n"
+
+
+class TestPathsThatAreNotFiles:
+    """A bad input or output path ends the command with one line on stderr
+    and a documented exit code, never a traceback."""
+
+    def test_a_script_that_is_a_directory_is_a_config_error(
+        self, six_bundle, tmp_path, capsys
+    ):
+        code = main(
+            [
+                "eval",
+                "--data-path", str(six_bundle.dataset_path),
+                *scripted_args(tmp_path, tmp_path / "cache"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: script file not found" in err
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("name", ["keyword_extraction.txt", "examples.json"])
+    def test_a_prompt_file_that_is_a_directory_is_a_config_error(
+        self, six_bundle, tmp_path, capsys, name
+    ):
+        prompts_dir = tmp_path / "prompts"
+        skip = shutil.ignore_patterns("*.py", "__pycache__")
+        shutil.copytree(cli.PromptLibrary.load().directory, prompts_dir, ignore=skip)
+        (prompts_dir / name).unlink()
+        (prompts_dir / name).mkdir()
+        code = main(
+            [
+                "eval",
+                "--data-path", str(six_bundle.dataset_path),
+                "--prompts-dir", str(prompts_dir),
+                *scripted_args(six_bundle.script_path, tmp_path / "cache"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and name in err
+        assert not (tmp_path / "cache").exists()
+
+    def test_a_file_where_the_traces_go_is_one_error_line(
+        self, six_bundle, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "o"
+        out_dir.mkdir()
+        (out_dir / "traces").write_text("not a directory", encoding="utf-8")
+        code = main(
+            [
+                "eval",
+                "--data-path", str(six_bundle.dataset_path),
+                "--out", str(out_dir),
+                *scripted_args(six_bundle.script_path, tmp_path / "cache"),
+            ]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        (error,) = [line for line in lines if line.startswith("error:")]
+        assert str(out_dir / "traces") in error
+        assert not any("Traceback" in line for line in lines)
+        assert not (out_dir / "report.json").exists()
+
+
+class TestDatasetFlavours:
+    """``eval`` through the hover and feverous loaders."""
+
+    def run(self, tmp_path, capsys, *args):
+        out_dir = tmp_path / "out"
+        script = write_regex_script(tmp_path / "script.json")
+        code = main(
+            [
+                "eval",
+                *args,
+                "--out", str(out_dir),
+                *scripted_args(script, tmp_path / "cache"),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        return json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+
+    def test_hover_runs_the_claims_of_the_hop_count_with_claim_context(
+        self, tmp_path, capsys
+    ):
+        records = [
+            {
+                "uid": f"h{n}",
+                "claim": f"alpha beta gamma {n}.",
+                "label": "SUPPORTED" if n % 2 else "NOT_SUPPORTED",
+                "num_hops": hops,
+                "evidence": [["Page A", "alpha beta delta."], ["Page B", "beta mu."]],
+            }
+            for n, hops in enumerate([2, 3, 2, 4, 2])
+        ]
+        data = write_json(tmp_path / "hover.json", records)
+        args = ["--dataset", "hover", "--data-path", str(data), "--hops", "2"]
+        report = self.run(tmp_path, capsys, *args)
+        assert [row["claim_id"] for row in report["claims"]] == ["h0", "h2", "h4"]
+        assert report["config"]["with_claim_context"] is True
+
+    def test_feverous_skips_a_record_with_structured_evidence_only(
+        self, tmp_path, capsys
+    ):
+        records = [
+            {
+                "id": 1,
+                "claim": "alpha beta gamma.",
+                "label": "SUPPORTS",
+                "evidence": [{"title": "Page", "text": "alpha beta delta."}],
+            },
+            {
+                "id": 2,
+                "claim": "iota kappa lambda.",
+                "label": "REFUTES",
+                "evidence": [{"content": ["Page_cell_0_1_2", "Page_item_3"]}],
+            },
+        ]
+        data = tmp_path / "feverous.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        args = ["--dataset", "feverous", "--data-path", str(data)]
+        report = self.run(tmp_path, capsys, *args)
+        assert [row["claim_id"] for row in report["claims"]] == ["1"]
+        assert report["config"]["with_claim_context"] is False

@@ -351,6 +351,20 @@ class TestGenericRoundTrip:
         with pytest.raises(DataError, match="gold label"):
             dump_generic([instance], tmp_path / "out.jsonl")
 
+    def test_a_missing_gold_label_leaves_the_output_untouched(self, tmp_path):
+        labelled = ClaimInstance(
+            id="a", claim="C.", evidence=(EvidencePiece(text="E."),),
+            gold_label=Verdict.TRUE,
+        )
+        unlabelled = ClaimInstance(
+            id="b", claim="C.", evidence=(EvidencePiece(text="E."),)
+        )
+        out = tmp_path / "out.jsonl"
+        out.write_text("earlier contents\n", encoding="utf-8")
+        with pytest.raises(DataError, match="instance b: .*gold label"):
+            dump_generic([labelled, unlabelled], out)
+        assert out.read_text(encoding="utf-8") == "earlier contents\n"
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
