@@ -13,14 +13,22 @@ fraction of the baseline median; a metric without a bound is never marked.
 Last, it prints each side's ``failed`` and ``attempted`` verifications,
 summed over the runs' result lines.
 
+``--claim METRIC`` names an end-to-end metric that the candidate claims to
+improve, and adds a last line saying whether the claim is ``MET``. It is
+met when the candidate is better in at least nine tenths of all the pairs
+run, ties and pairs missing the metric counting for neither; its median is
+better than the baseline's, in the metric's direction, by more than the
+distance between the baseline's quartiles; and no larger share of its
+verifications failed.
+
 Usage, from anywhere:
 
     python3 scripts/bench_pairs.py BASELINE_DIR CANDIDATE_DIR \\
         --workload offline-long-evidence --seeds 101-110 --seconds 40
 
 ``--seeds`` takes comma-separated seeds and ``a-b`` ranges. The exit code is
-1 if any run fails or fails its correctness gate, or any row is marked, and
-0 otherwise.
+1 if any run fails or fails its correctness gate, any row is marked, or a
+claim is not met, and 0 otherwise.
 """
 from __future__ import annotations
 
@@ -82,11 +90,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=parse_seeds, required=True,
                         help="seeds, e.g. 101-110 or 5,7,9; one pair each")
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="end-to-end metric the candidate claims to improve")
     args = parser.parse_args(argv)
     sides = {"baseline": args.baseline.resolve(), "candidate": args.candidate.resolve()}
     declared = json.loads((sides["baseline"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {entry["name"]: entry["better"] for entry in declared["end_to_end"]}
     bound = {entry["name"]: entry.get("bound") for entry in declared["end_to_end"]}
+    if args.claim is not None and args.claim not in better:
+        parser.error(f"--claim {args.claim} is not an end-to-end metric of "
+                     f"{sides['baseline'] / 'BENCHMARK.json'}")
 
     pairs: list[dict[str, dict]] = []
     for number, seed in enumerate(args.seeds):
@@ -104,6 +117,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'metric':<14} {'baseline median [q1, q3]':<30} "
           f"{'candidate median [q1, q3]':<30} {'change':>8} {'>IQR':>5} {'won':>6}")
     regressed = []
+    # Pairs won, the median's gain and the baseline's quartile distance for
+    # the claimed metric; none won and no gain when no pair has it.
+    claimed = (0, float("nan"), float("nan"))
     for name, direction in better.items():
         complete = [pair for pair in pairs
                     if all(name in pair[side]["metrics"] for side in sides)]
@@ -124,16 +140,29 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:<14} {text(base):<30} {text(cand):<30} {change:>+7.1f}% "
               f"{beyond:>5} {won:>3}/{len(complete)}"
               + (f" REGRESSION (bound {limit:.0%})" if worse else ""))
-    counts = {side: "/".join(str(sum(pair[side].get(field, 0) for pair in pairs))
-                             for field in ("failed", "attempted"))
+        if name == args.claim:
+            claimed = won, sign * (cand[0] - base[0]), base[2] - base[1]
+    totals = {side: [sum(pair[side].get(field, 0) for pair in pairs)
+                     for field in ("failed", "attempted")]
               for side in sides}
-    print(f"failed/attempted: baseline {counts['baseline']}, "
-          f"candidate {counts['candidate']}")
+    print(f"failed/attempted: baseline {'/'.join(map(str, totals['baseline']))}, "
+          f"candidate {'/'.join(map(str, totals['candidate']))}")
     failed = [(side, seed) for pair, seed in zip(pairs, args.seeds)
               for side in sides if not pair[side]["ok"]]
     for side, seed in failed:
         print(f"FAILED: {side} seed {seed}")
-    return 1 if failed or regressed else 0
+    unmet = False
+    if args.claim is not None:
+        won, gain, spread = claimed
+        (base_failed, base_tried), (cand_failed, cand_tried) = (
+            totals["baseline"], totals["candidate"])
+        more_failed = cand_failed * base_tried > base_failed * cand_tried
+        unmet = won * 10 < 9 * len(pairs) or not gain > spread or more_failed
+        print(f"claim {args.claim}: {'NOT MET' if unmet else 'MET'} "
+              f"(won {won}/{len(pairs)} pairs; median better by {gain:.4g}, "
+              f"baseline IQR {spread:.4g}; "
+              f"{'larger' if more_failed else 'no larger'} share failed)")
+    return 1 if failed or regressed or unmet else 0
 
 
 if __name__ == "__main__":

@@ -29,7 +29,13 @@ from .data import (
 )
 # ``verify`` reads its evidence file with the loaders' own entry rules.
 from .data import load_evidence as _read_evidence_file
-from .evaluation import EvalReport, comparison_table, run_ablation_matrix, run_into
+from .evaluation import (
+    EvalReport,
+    check_outputs,
+    comparison_table,
+    run_ablation_matrix,
+    run_into,
+)
 from .llm import BackendConfig, BackendError, BackendKind, ResponseCache, TransportError
 from .pipeline import (
     Ablation,
@@ -271,13 +277,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     instance = ClaimInstance(
         id="cli", claim=options["claim"], evidence=tuple(evidence)
     )
+    written = Path(options["out"]) / "verify.json" if options["out"] else None
+    if written is not None:
+        check_outputs([written])
     cache = ResponseCache(options["cache_dir"])
     with open_verifier(config, prompts, cache=cache) as verifier:
         report = verifier.verify_claim(instance)
     payload = {"config": config.to_dict(), "report": report.to_dict()}
     sys.stdout.write(json_text(payload))
-    if options["out"]:
-        write_json(Path(options["out"]) / "verify.json", payload)
+    if written is not None:
+        write_json(written, payload)
     return 0
 
 

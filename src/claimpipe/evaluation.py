@@ -11,13 +11,16 @@ A claim whose pipeline run fails is scored as predicted False and counted in
 run out in its out-dir, and the ablation matrix lays out each variant as it
 ends. Per-claim traces are written as claims finish, so an interrupted run
 keeps what it has done. It starts no further claim, and ends once the claims
-in flight have ended.
+in flight have ended. Every path a run would fail to write is refused
+before its first call (see ``check_outputs``).
 """
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import logging
+import os
 import re
 import time
 from collections import Counter
@@ -218,6 +221,30 @@ def _trace_path(out_dir: Path, claim_id: str) -> Path:
     return out_dir / f"{safe}.json"
 
 
+def check_outputs(files: list[Path]) -> None:
+    """Raise before a run's first call what writing ``files`` would raise
+    after its last: a file path that is a directory is a ValueError, and a
+    parent directory that cannot be made, since a file is in the way, the
+    NotADirectoryError that making it would raise. Nothing is created, so
+    an interrupted run leaves no directory for what it never reached."""
+    for directory in dict.fromkeys(path.parent for path in files):
+        existing = next(place for place in (directory, *directory.parents)
+                        if place.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(
+                errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing)
+            )
+    for path in files:
+        if path.is_dir():
+            raise ValueError(f"output file {path} is a directory")
+
+
+def _outputs(out: Path, instances: list[ClaimInstance]) -> list[Path]:
+    """Every file ``run_into`` writes in ``out``."""
+    traces = [_trace_path(out / "traces", instance.id) for instance in instances]
+    return [*traces, out / "report.json", out / "table.txt"]
+
+
 def _evaluate_one(
     verifier: ClaimVerifier, instance: ClaimInstance
 ) -> tuple[ClaimRow, VerificationReport | PipelineError]:
@@ -340,6 +367,8 @@ def run_into(
     """``run_eval`` laid out in ``out_dir``: ``traces/`` as claims finish, then
     ``report.json`` and ``table.txt``. With no ``out_dir``, just ``run_eval``."""
     out = Path(out_dir) if out_dir else None
+    if out is not None:
+        check_outputs(_outputs(out, instances))
     trace_dir = None if out is None else out / "traces"
     report = run_eval(instances, config, prompts, cache, workers, trace_dir)
     if out is not None:
@@ -365,6 +394,10 @@ def run_ablation_matrix(
     if len(set(variants)) != len(variants):
         raise ValueError("duplicate variants requested")
     out = Path(out_dir) if out_dir else None
+    if out is not None:
+        layouts = [_outputs(out / variant.value, instances) for variant in variants]
+        check_outputs([file for files in layouts for file in files]
+                      + [out / "comparison.txt"])
     reports = []
     for variant in variants:
         config = dataclasses.replace(base_config, ablation=variant)

@@ -5,12 +5,14 @@ functions are expected to be preprocessed (see :func:`preprocess`); the
 functions themselves do no normalization.
 
 Keyword selection scores several short needles against each long evidence
-text. What a score needs of the haystack alone (its set of characters, its
-token set and the total length of its tokens) is kept in a
+text. What :func:`token_set_ratio` needs of the haystack's tokens alone
+(their set, and the length of that set joined by spaces) is kept in a
 :class:`Profile`, built once per text and shared through a small bounded
 cache. What :func:`partial_ratio` needs of the needle alone (the bit set of
-each character's positions) is kept the same way, once per needle. A score
-skips work only where the skip provably leaves it unchanged.
+each character's positions) is kept the same way, once per needle. Which of
+the needle's characters the haystack holds is asked of the haystack's text
+itself, one search per distinct character. A score skips work only where
+the skip provably leaves it unchanged.
 
 No score walks a whole piece in Python where a shorter walk gives the same
 number. :func:`indel_distance` answers a short side that is a subsequence
@@ -138,20 +140,17 @@ def simple_ratio(a: str, b: str) -> float:
 
 
 class Profile:
-    """What scoring any needle against one haystack needs of the haystack.
+    """What :func:`token_set_ratio` needs of one haystack's tokens.
 
-    ``chars`` is the set of characters of the text, ``tokens`` the set of
-    its whitespace-separated tokens and ``token_chars`` the sum of their
-    lengths, so the unique tokens joined by single spaces are
-    ``token_chars + len(tokens) - 1`` characters long. ``sorted_tokens``, that
-    join in sorted order, is built on first use: only :func:`token_set_ratio`
-    needs it, and only when it runs an LCS.
+    ``tokens`` is the set of the text's whitespace-separated tokens and
+    ``joined_length`` the length of those tokens joined by single spaces.
+    ``sorted_tokens``, that join in sorted order, is built on first use:
+    only an LCS needs it.
     """
 
     def __init__(self, text: str):
-        self.chars = frozenset(text)
         self.tokens = frozenset(text.split())
-        self.token_chars = sum(map(len, self.tokens))
+        self.joined_length = len(" ".join(self.tokens))
 
     @cached_property
     def sorted_tokens(self) -> str:
@@ -178,10 +177,10 @@ def partial_ratio(needle: str, haystack: str) -> float:
     the best LCS of a window with the needle lies between 1 and a bound: no
     window equals the needle, and none shares more characters with it than
     the whole haystack does. A needle sharing no character with the
-    haystack, by its :func:`profile`, has a bound of 0 and scores 0. The
-    bound, ``len(needle) - 1`` less the needle's characters that the profile
-    lacks, needs no pass over the haystack. The needle's position masks are
-    built once per needle.
+    haystack has a bound of 0 and scores 0. The bound, ``len(needle) - 1``
+    less the needle's characters that the haystack lacks, takes one search
+    of the haystack per distinct needle character. The needle's position
+    masks are built once per needle.
 
     The windows aligned with each occurrence of either half of the needle
     are scored first (see :func:`_seed_starts`), until one reaches the
@@ -202,15 +201,15 @@ def partial_ratio(needle: str, haystack: str) -> float:
     if needle in haystack:
         return 100.0
     masks = _needle_masks(needle)
-    present = profile(haystack).chars
-    if present.isdisjoint(masks):
+    shared = [ch for ch in masks if ch in haystack]
+    if not shared:
         return 0.0
     size = len(needle)
     # Only a window equal to the needle has an LCS of len(needle), and none
     # holds a needle character that the haystack lacks.
     bound = size - 1
-    if not present.issuperset(masks):
-        bound = sum(m.bit_count() for ch, m in masks.items() if ch in present)
+    if len(shared) < len(masks):
+        bound = sum(masks[ch].bit_count() for ch in shared)
     # Some window holds a shared character.
     best = 1
     full = (1 << size) - 1
@@ -271,19 +270,20 @@ def token_set_ratio(a: str, b: str) -> float:
     As t0 is a prefix of both combined strings, the first two distances are
     length differences and the third is the distance between the suffixes.
 
-    ``b``'s token set, token lengths, sorted tokens and characters come from
-    its :func:`profile`, so only ``a`` is split and sorted per call. b's
-    combined string d2 holds every token of ``b`` once, so its length and
-    its number of spaces follow from the profile without building it. Three
-    exits skip work without changing the score. When every token of ``a``
-    is in ``b``, t0 equals a's combined string and the score is 100. The
-    suffixes' distance is at least the difference of their lengths; when
-    even that distance would not beat the two length-only ratios, their
-    maximum is the score, and neither d2 nor a distance is computed. This
-    is the usual case for a keyword sharing a token with a long piece. When
-    a's leftover tokens share no character with ``b``, only the separating
-    spaces of the two suffixes can match, so their LCS is the smaller
-    number of spaces, and neither d2 nor an LCS is computed.
+    ``b``'s token set, the length of those tokens joined and their sorted
+    join come from its :func:`profile`, so only ``a`` is split and sorted
+    per call. b's combined string d2 holds every token of ``b`` once, so its
+    length and its number of spaces follow from the profile without building
+    it. Three exits skip work without changing the score. When every token
+    of ``a`` is in ``b``, t0 equals a's combined string and the score is
+    100. The suffixes' distance is at least the difference of their lengths;
+    when even that distance would not beat the two length-only ratios, their
+    maximum is the score, and neither d2 nor a distance is computed. This is
+    the usual case for a keyword sharing a token with a long piece. When no
+    character of a's leftover tokens occurs in ``b``, asked of ``b``'s text
+    one character at a time, only the separating spaces of the two suffixes
+    can match, so their LCS is the smaller number of spaces, and neither d2
+    nor an LCS is computed.
     """
     tokens_a = set(a.split())
     b_profile = profile(b)
@@ -296,8 +296,7 @@ def token_set_ratio(a: str, b: str) -> float:
     prefix = len(t0)
     s1 = d1[prefix:]
     # d2 is b's unique tokens, t0 first, joined by single spaces.
-    tokens_b = len(b_profile.tokens)
-    len_d2 = b_profile.token_chars + tokens_b - 1 if tokens_b else 0
+    len_d2 = b_profile.joined_length
     by_lengths = max(
         _ratio(len(d1) - prefix, prefix + len(d1)),
         _ratio(len_d2 - prefix, prefix + len_d2),
@@ -305,8 +304,9 @@ def token_set_ratio(a: str, b: str) -> float:
     total = len(d1) + len_d2
     if _ratio(abs(len(d1) - len_d2), total) <= by_lengths:
         return by_lengths
-    if b_profile.chars.isdisjoint("".join(only_a)):
+    if not any(ch in b for token in only_a for ch in token):
         # s2 is d2 after t0: its spaces are d2's, less those inside t0.
+        tokens_b = len(b_profile.tokens)
         spaces_s2 = tokens_b - len(common) if common else max(tokens_b - 1, 0)
         dist = len(s1) + len_d2 - prefix - 2 * min(s1.count(" "), spaces_s2)
     else:

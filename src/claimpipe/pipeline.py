@@ -40,8 +40,10 @@ from .prompts import MIN_SUMMARY_KEYWORDS, PromptLibrary, format_evidence_block
 SCHEMA_VERSION = 1
 
 # Threads for the calls inside claims, per claim thread. Each claim thread
-# also makes calls itself, so at most (1 + CALL_THREADS_PER_WORKER) x workers
-# requests are in flight.
+# also makes calls itself, one at a time: keyword extraction, and the last
+# call of each phase whose results it waits for. So at most
+# (1 + CALL_THREADS_PER_WORKER) x workers requests are in flight, and a
+# claim's deconstruction and four summaries all go out at once.
 CALL_THREADS_PER_WORKER = 4
 
 
@@ -382,6 +384,22 @@ def aggregate(results: list[SubclaimResult] | tuple[SubclaimResult, ...]) -> Ver
 # A zero-argument function that runs one stage method.
 Call = Callable[[], object]
 
+
+def _made(call: Call) -> Call:
+    """Make ``call`` now; the function returned gives back its result, or
+    raises its failure."""
+    try:
+        result = call()
+    except Exception as exc:
+        failure = exc
+
+        def fail() -> object:
+            raise failure
+
+        return fail
+    return lambda: result
+
+
 # A claim's trace keys each entry by (its stage's rank, piece or subclaim
 # index), and lists the entries sorted by key.
 TRACE_RANKS = {
@@ -404,12 +422,14 @@ class ClaimVerifier:
 
     A claim runs in three phases: keyword extraction and selection; the
     summaries alongside the deconstruction; the subclaim verifications.
-    ``_start`` starts every call but the extraction. With an ``executor`` it
-    submits them at once: the calls of a phase run concurrently (the
-    verifications stay one at a time under ``short_circuit``), and the
-    deconstruction runs beside keyword extraction. Without one, every call
-    runs in order on the calling thread. Either way results are read in
-    canonical order, so the first failure in that order is the one raised.
+    ``_start`` starts every call but the extraction. With an ``executor`` the
+    calls of a phase run concurrently (the verifications stay one at a time
+    under ``short_circuit``), and the deconstruction runs beside keyword
+    extraction. The claim thread would only wait for the summaries and the
+    verifications, so it makes the last of them itself while the pool makes
+    the others. Without an executor, every call runs in order on the
+    calling thread. Either way results are read in canonical order, so the
+    first failure in that order is the one raised.
     Each stage method makes its model call through ``_call``, the one place
     where a call's failure gets its stage.
     """
@@ -525,17 +545,22 @@ class ClaimVerifier:
             abstained=abstained,
         )
 
-    def _start(self, calls: list[Call], started: list[Future]) -> list[Call]:
+    def _start(
+        self, calls: list[Call], started: list[Future], read_now: bool = False
+    ) -> list[Call]:
         """Start ``calls``; each comes back as a function that returns its
         result. With an executor, each is submitted now and its future added
-        to ``started``, which the claim waits for before it ends. Without one,
-        they come back unchanged: each runs when its result is read, so the
-        caller's first failure or stop skips the rest."""
+        to ``started``, which the claim waits for before it ends; but when
+        the caller will ``read_now``, and so would only wait, the last call
+        is made here on its thread, its failure kept until it is read.
+        Without one, they come back unchanged: each runs when its result is
+        read, so the caller's first failure or stop skips the rest."""
         if self.executor is None:
             return calls
-        futures = [self.executor.submit(call) for call in calls]
+        pooled, own = (calls[:-1], calls[-1:]) if read_now else (calls, [])
+        futures = [self.executor.submit(call) for call in pooled]
         started.extend(futures)
-        return [future.result for future in futures]
+        return [future.result for future in futures] + list(map(_made, own))
 
     def verify_claim(self, instance: ClaimInstance) -> VerificationReport:
         plan = PLANS[self.config.ablation]
@@ -580,7 +605,7 @@ class ClaimVerifier:
                     for index, piece in enumerate(instance.evidence)
                 ]
             abstracted: list[AbstractedEvidence] = []
-            for summarized in self._start(calls, started):
+            for summarized in self._start(calls, started, read_now=True):
                 summary = summarized()
                 if summary is not None:
                     abstracted.append(summary)
@@ -596,7 +621,7 @@ class ClaimVerifier:
             short_circuit = self.config.short_circuit
             if not short_circuit:
                 # Under short_circuit the verifications stay one at a time.
-                calls = self._start(calls, started)
+                calls = self._start(calls, started, read_now=True)
             results: list[SubclaimResult] = []
             for verified in calls:
                 result = verified()

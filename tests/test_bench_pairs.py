@@ -11,6 +11,8 @@ import json
 import runpy
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 FAKE_RUN = """\
@@ -108,3 +110,79 @@ def test_within_the_bound_or_without_one_is_not_marked(tmp_path, capsys):
     code, _, out = run_pairs(tmp_path / "unbounded", capsys, bad_seed=-1, rates=(200.0, 100.0))
     assert code == 0
     assert "REGRESSION" not in out
+
+
+# A fake run whose claims_per_s per seed, and failed count, are set per side.
+FAKE_CLAIM_RUN = """\
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+print(json.dumps({
+    "correct": True, "attempted": 10, "failed": FAILED,
+    "metrics": {"claims_per_s": {"value": RATES[int(args["--seed"])], "unit": "1/s"}},
+}))
+"""
+
+
+def run_claim(tmp_path, capsys, baseline, candidate, failed=(0, 0), claim="claims_per_s"):
+    """``--claim`` over seeds 1-10, each side's claims_per_s per seed given
+    as a list; the exit code and the output's last line."""
+    checkouts = []
+    for side, rates, fails in zip(("a", "b"), (baseline, candidate), failed):
+        directory = tmp_path / side
+        (directory / "bench").mkdir(parents=True)
+        table = dict(zip(range(1, 11), rates))
+        (directory / "bench" / "run.py").write_text(
+            f"RATES, FAILED = {table!r}, {fails}\n" + FAKE_CLAIM_RUN
+        )
+        metrics = [{"name": "claims_per_s", "better": "higher"}]
+        (directory / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
+        checkouts.append(str(directory))
+    main = runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))["main"]
+    code = main([*checkouts, "--workload", "w", "--seeds", "1-10", "--seconds", "1",
+                 "--claim", claim])
+    return code, capsys.readouterr().out.splitlines()[-1]
+
+
+def test_a_claim_is_met_in_nine_tenths_of_the_pairs(tmp_path, capsys):
+    # One tie, which counts for neither side.
+    code, verdict = run_claim(tmp_path, capsys, [100.0] * 10, [100.0] + [200.0] * 9)
+    assert code == 0
+    assert verdict.startswith("claim claims_per_s: MET (won 9/10 pairs;")
+
+
+def test_a_claim_won_in_fewer_pairs_is_not_met(tmp_path, capsys):
+    code, verdict = run_claim(tmp_path, capsys, [100.0] * 10, [100.0] * 2 + [200.0] * 8)
+    assert code == 1
+    assert verdict.startswith("claim claims_per_s: NOT MET (won 8/10 pairs;")
+
+
+def test_a_claim_needs_a_gain_beyond_the_baseline_quartiles(tmp_path, capsys):
+    # Better in every pair, but the medians differ by less than the
+    # baseline's quartile distance, 101.75 - 96.25 = 5.5.
+    baseline = [90.0, 95.0, 96.0, 97.0, 98.0, 100.0, 101.0, 102.0, 102.0, 110.0]
+    code, verdict = run_claim(tmp_path, capsys, baseline, [b + 1 for b in baseline])
+    assert code == 1
+    assert "NOT MET (won 10/10 pairs; median better by 1, baseline IQR 5.5;" in verdict
+
+
+def test_a_claim_counts_in_its_metric_direction(tmp_path, capsys):
+    # Worse in every pair by far more than the quartile distance.
+    code, verdict = run_claim(tmp_path, capsys, [200.0] * 10, [100.0] * 10)
+    assert code == 1
+    assert "NOT MET (won 0/10 pairs; median better by -100," in verdict
+
+
+def test_a_claim_with_a_larger_share_failed_is_not_met(tmp_path, capsys):
+    code, verdict = run_claim(
+        tmp_path, capsys, [100.0] * 10, [200.0] * 10, failed=(0, 1)
+    )
+    assert code == 1
+    assert verdict.startswith("claim claims_per_s: NOT MET (won 10/10 pairs;")
+    assert verdict.endswith("larger share failed)")
+
+
+def test_a_claim_on_an_undeclared_metric_is_refused(tmp_path, capsys):
+    with pytest.raises(SystemExit) as stop:
+        run_claim(tmp_path, capsys, [100.0] * 10, [200.0] * 10, claim="speed")
+    assert stop.value.code == 2
+    assert "--claim speed is not an end-to-end metric" in capsys.readouterr().err

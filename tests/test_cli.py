@@ -1221,6 +1221,53 @@ class TestRejectedBeforeAnyCall:
         assert "Traceback" not in err
         assert f"config error: {key} must be a directory, and {blocker}" in err
         assert chat.requests == 0
+    # (command, the path in the way under the out-dir, whether it is a
+    # directory where a file goes, or else a file where a directory goes).
+    @pytest.mark.parametrize(
+        "command, blocked, is_dir",
+        [
+            ("eval", "report.json", True),
+            ("eval", "table.txt", True),
+            ("ablate", "no-raw", False),
+            ("ablate", "comparison.txt", True),
+            ("verify", "verify.json", True),
+        ],
+        ids=lambda value: value if isinstance(value, str) else None,
+    )
+    def test_an_output_path_in_the_way(
+        self, tmp_path, capsys, command, blocked, is_dir
+    ):
+        out_dir = tmp_path / "o"
+        out_dir.mkdir()
+        if is_dir:
+            (out_dir / blocked).mkdir()
+        else:
+            (out_dir / blocked).write_text("x", encoding="utf-8")
+        if command == "verify":
+            evidence = spam_evidence_file(tmp_path)
+            inputs = ["--claim", "Anything.", "--evidence", str(evidence)]
+        else:
+            inputs = ["--data-path", str(tiny_dataset_file(tmp_path))]
+        with serve() as chat:
+            code = main(
+                [
+                    command,
+                    *inputs,
+                    "--backend", "http",
+                    "--endpoint", chat.url,
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(out_dir),
+                ]
+            )
+        lines = capsys.readouterr().err.splitlines()
+        assert not any("Traceback" in line for line in lines)
+        # A directory in the way is a config error; a file in the way of a
+        # directory fails as making that directory would.
+        prefix = "config error:" if is_dir else "error:"
+        (error,) = [line for line in lines if line.startswith(prefix)]
+        assert str(out_dir / blocked) in error
+        assert code == (2 if is_dir else 1)
+        assert chat.requests == 0
 
 
 def non_finite_cases():

@@ -376,3 +376,33 @@ class TestEarlyExit:
             if MARKS["extract"] in seen["body"]["messages"][0]["content"]
         ]
         assert len(extractions) <= 1 + workers
+
+
+class TestFourPieceClaim:
+    # Four pieces, each holding both keywords the regex script extracts, so
+    # each is summarized.
+    INSTANCE = ClaimInstance(
+        id="four",
+        claim="Alpha beta.",
+        evidence=tuple(
+            EvidencePiece(f"Alpha beta {n}.") for n in ("one", "two", "three", "four")
+        ),
+        gold_label=Verdict.TRUE,
+    )
+
+    def test_every_summary_goes_out_while_the_deconstruction_runs(
+        self, prompt_library
+    ):
+        script = Script(REGEX_SCRIPT_ENTRIES)
+        marks = {**MARKS, "summary": "based on specified keywords"}
+        with serve(marks=marks) as server:
+
+            def answer(prompt: str) -> Reply:
+                delay = 0.4 if MARKS["deconstruct"] in prompt else 0.1
+                return Reply(body=chat_payload(script.lookup(prompt), 5, 2), delay=delay)
+
+            server.answer = answer
+            report = run_eval([self.INSTANCE], http_config(server), prompt_library)
+        assert report.counts.error_count == 0
+        assert server.peak["summary"] == 4
+        assert server.peak["all"] <= 5

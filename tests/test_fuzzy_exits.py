@@ -6,6 +6,8 @@
   character class.
 * ``partial_ratio`` scores the windows aligned with every occurrence of
   each half of the needle before anything else, and stops at the bound.
+  It asks the haystack's text which needle characters it holds, and builds
+  no profile of it.
 * ``token_set_ratio`` returns from lengths alone when no distance between
   the suffixes could raise the score.
 
@@ -154,6 +156,19 @@ class TestPartialRatioSeeds:
         # and the first of the many "ab" windows ends the scan.
         assert partial_ratio("abxy", "ab" * 40) == 50.0
         assert lcs_inputs == ["abab"]
+
+    # (needle, haystack): every needle character in the haystack, some, none.
+    @pytest.mark.parametrize(
+        "needle, haystack",
+        [("abc", "acb" * 20), ("abxy", "ab" * 40), ("xyz", "ab" * 40)],
+        ids=["all", "some", "none"],
+    )
+    def test_the_haystack_gets_no_profile(self, needle, haystack):
+        fuzzy.profile.cache_clear()
+        assert_matches_oracles(
+            needle, haystack, partial_ratio, oracles.partial_ratio_oracle
+        )
+        assert fuzzy.profile.cache_info().misses == 0
 
 
 class TestTokenSetBound:
