@@ -9,7 +9,10 @@ of the median, whether it exceeds the baseline's quartile distance, and the
 number of pairs the candidate won (the direction comes from the baseline's
 BENCHMARK.json). A row ends in ``REGRESSION`` when the candidate median is
 worse than the baseline median by more than the metric's ``bound`` there, a
-fraction of the baseline median; a metric without a bound is never marked.
+fraction of the baseline median. It ends in ``UNRESOLVED`` when the
+baseline's own quartile distance is wider than that bound, so that the runs
+cannot tell a change within it from noise, unless every candidate run is
+better than every baseline run. A metric without a bound is never marked.
 Last, it prints each side's ``failed`` and ``attempted`` verifications,
 summed over the runs' result lines.
 
@@ -27,8 +30,8 @@ Usage, from anywhere:
         --workload offline-long-evidence --seeds 101-110 --seconds 40
 
 ``--seeds`` takes comma-separated seeds and ``a-b`` ranges. The exit code is
-1 if any run fails or fails its correctness gate, any row is marked, or a
-claim is not met, and 0 otherwise.
+1 if any run fails or fails its correctness gate, any row is marked
+``REGRESSION``, or a claim is not met, and 0 otherwise.
 """
 from __future__ import annotations
 
@@ -137,9 +140,16 @@ def main(argv: list[str] | None = None) -> int:
         worse = limit is not None and sign * (cand[0] - base[0]) < -limit * abs(base[0])
         if worse:
             regressed.append(name)
+        unresolved = (
+            limit is not None
+            and base[2] - base[1] > limit * abs(base[0])
+            and not all(sign * (c - b) > 0
+                        for b in value["baseline"] for c in value["candidate"])
+        )
         print(f"{name:<14} {text(base):<30} {text(cand):<30} {change:>+7.1f}% "
               f"{beyond:>5} {won:>3}/{len(complete)}"
-              + (f" REGRESSION (bound {limit:.0%})" if worse else ""))
+              + (f" REGRESSION (bound {limit:.0%})" if worse else "")
+              + (" UNRESOLVED" if unresolved else ""))
         if name == args.claim:
             claimed = won, sign * (cand[0] - base[0]), base[2] - base[1]
     totals = {side: [sum(pair[side].get(field, 0) for pair in pairs)

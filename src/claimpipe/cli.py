@@ -36,7 +36,14 @@ from .evaluation import (
     run_ablation_matrix,
     run_into,
 )
-from .llm import BackendConfig, BackendError, BackendKind, ResponseCache, TransportError
+from .llm import (
+    BackendConfig,
+    BackendError,
+    BackendKind,
+    ResponseCache,
+    TransportError,
+    has_lone_surrogate,
+)
 from .pipeline import (
     Ablation,
     ClaimInstance,
@@ -269,6 +276,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     options = _merge_options(args)
     if not options["claim"] or not str(options["claim"]).strip():
         raise ConfigError("--claim is required")
+    if has_lone_surrogate(options["claim"]):
+        # Argument bytes that are not UTF-8 arrive as lone surrogates.
+        raise ConfigError("--claim is not UTF-8 text: it holds a lone surrogate")
     if not options["evidence"]:
         raise ConfigError("--evidence is required")
     evidence = _read_evidence_file(options["evidence"])

@@ -20,6 +20,7 @@ from json.encoder import INFINITY as _INFINITY
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
 
+from .llm import has_lone_surrogate, may_decode_to_lone_surrogate
 from .pipeline import ClaimInstance, EvidencePiece, Verdict
 
 log = logging.getLogger(__name__)
@@ -158,12 +159,14 @@ def _read_records(
     With ``array=None`` a ``.jsonl`` file is JSONL, since a JSONL record may
     itself be an array; any other file is one JSON array when its text
     starts with ``[``, and JSONL otherwise. With ``objects`` every record
-    must be a JSON object.
+    must be a JSON object. A record holding a lone surrogate anywhere, which
+    no prompt, cache or report could encode, is a DataError.
     """
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    surrogates = may_decode_to_lone_surrogate(text)
     if array is None:
         array = path.suffix.lower() != ".jsonl" and text.lstrip().startswith("[")
     if array:
@@ -189,6 +192,11 @@ def _read_records(
                 raise DataError(f"{where}: invalid JSON: {exc}") from exc
         if objects and not isinstance(record, dict):
             raise DataError(f"{where}: record must be an object")
+        if surrogates and has_lone_surrogate(json.dumps(record, ensure_ascii=False)):
+            raise DataError(
+                f"{where}: text holds a lone surrogate, a \\udXXX escape that is "
+                "not half of a pair"
+            )
         yield where, ref, record
 
 

@@ -193,6 +193,36 @@ def retry_delay(
     return backoff_base * 2 ** (retry - 1) * (1.0 - jitter / 2.0)
 
 
+def has_lone_surrogate(text: str) -> bool:
+    """Whether ``text`` holds a lone surrogate, and so cannot be hashed,
+    cached or sent. Data and evidence files, scripts, few-shot examples,
+    ``verify --claim`` and HTTP completions are each checked with this.
+
+    Python text holds a UTF-16 surrogate only alone: from a JSON ``\\udXXX``
+    escape that is not half of a pair, or from an argument byte that is not
+    UTF-8. It is the one code point UTF-8 cannot encode, and encoding is a
+    faster scan than a search; ASCII text, the common case, needs neither.
+    """
+    if text.isascii():
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+# The JSON escape of a surrogate. The UTF-8 decoder refuses an encoded one.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def may_decode_to_lone_surrogate(json_text: str) -> bool:
+    """Whether the values of ``json_text`` can hold a lone surrogate, which
+    only its escape gives them. Most JSON holds no backslash at all, and
+    finding one is a much faster scan than a search for the escape."""
+    return "\\" in json_text and _SURROGATE_ESCAPE.search(json_text) is not None
+
+
 def prompt_sha256(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
@@ -219,7 +249,8 @@ class ResponseCache:
     """Append-only completion cache in one directory. Thread-safe.
 
     Each instance appends to its own segment, ``<time_ns>-<pid>.jsonl``,
-    created on its first put. A put writes one line, ``[key, text,
+    created on its first put; when that name is taken, the stamp counts up
+    to the next free one. A put writes one line, ``[key, text,
     prompt_tokens, completion_tokens]``, with one ``write``. Opening the
     cache creates the directory and indexes every segment in name order,
     keeping the first valid line of each key, so a cached response never
@@ -266,6 +297,19 @@ class ResponseCache:
         except OSError:
             pass  # An unreadable segment is all misses.
 
+    def _new_segment(self) -> tuple[int, Path]:
+        """A new segment, created and open for appending. Another cache of
+        this process may have taken this clock tick's name; the next free
+        stamp then names it."""
+        stamp = time.time_ns()
+        while True:
+            segment = self.directory / f"{stamp}-{os.getpid()}.jsonl"
+            flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_EXCL
+            try:
+                return os.open(segment, flags, 0o644), segment
+            except FileExistsError:
+                stamp += 1
+
     def get(self, key: str) -> CompletionResponse | None:
         return self._index.get(key)
 
@@ -280,14 +324,11 @@ class ResponseCache:
         with self._lock:
             if key in self._index:
                 return
-            flags = os.O_WRONLY | os.O_APPEND
             if self._segment is None:
-                flags |= os.O_CREAT | os.O_EXCL
-                name = f"{time.time_ns()}-{os.getpid()}.jsonl"
-                segment = self.directory / name
+                fd, segment = self._new_segment()
             else:
                 segment = self._segment
-            fd = os.open(segment, flags, 0o644)
+                fd = os.open(segment, os.O_WRONLY | os.O_APPEND)
             try:
                 written = os.write(fd, data)
             finally:
@@ -337,7 +378,8 @@ class Script:
 
     Hash entries match the exact prompt; regex entries are tried in file
     order against the prompt text. Hash entries win over regex entries.
-    A malformed entry raises ``ValueError`` naming its index.
+    A malformed entry raises ``ValueError`` naming its index; so does, in a
+    loaded file, one whose response or regex holds a lone surrogate.
     """
 
     def __init__(self, entries: list[dict]):
@@ -370,10 +412,17 @@ class Script:
     @classmethod
     def load(cls, path: str | Path) -> "Script":
         with open(path, encoding="utf-8") as fh:
-            entries = json.load(fh)
+            text = fh.read()
+        entries = json.loads(text)
         if not isinstance(entries, list):
             raise ValueError("script file must contain a JSON list of entries")
-        return cls(entries)
+        script = cls(entries)
+        if may_decode_to_lone_surrogate(text):
+            for index, entry in enumerate(entries):
+                texts = entry["response"], entry.get("regex", "")
+                if any(map(has_lone_surrogate, texts)):
+                    raise ValueError(f"script entry {index} holds a lone surrogate")
+        return script
 
     def lookup(self, prompt: str, digest: str | None = None) -> str | None:
         """The response for ``prompt``, or None. ``digest`` is the prompt's
@@ -679,6 +728,11 @@ class CompletionClient:
         if not isinstance(content, str):
             raise MalformedResponseError(
                 "message content is not a string", prompt_sha256=digest
+            )
+        if has_lone_surrogate(content):
+            # Such text could be neither cached nor written to a report.
+            raise MalformedResponseError(
+                "message content holds a lone surrogate", prompt_sha256=digest
             )
         usage = data.get("usage") or {}
 

@@ -40,8 +40,8 @@ from .prompts import MIN_SUMMARY_KEYWORDS, PromptLibrary, format_evidence_block
 SCHEMA_VERSION = 1
 
 # Threads for the calls inside claims, per claim thread. Each claim thread
-# also makes calls itself, one at a time: keyword extraction, and the last
-# call of each phase whose results it waits for. So at most
+# also makes calls itself, one at a time: keyword extraction, and the first
+# summary and the first verification as it reads them. So at most
 # (1 + CALL_THREADS_PER_WORKER) x workers requests are in flight, and a
 # claim's deconstruction and four summaries all go out at once.
 CALL_THREADS_PER_WORKER = 4
@@ -385,21 +385,6 @@ def aggregate(results: list[SubclaimResult] | tuple[SubclaimResult, ...]) -> Ver
 Call = Callable[[], object]
 
 
-def _made(call: Call) -> Call:
-    """Make ``call`` now; the function returned gives back its result, or
-    raises its failure."""
-    try:
-        result = call()
-    except Exception as exc:
-        failure = exc
-
-        def fail() -> object:
-            raise failure
-
-        return fail
-    return lambda: result
-
-
 # A claim's trace keys each entry by (its stage's rank, piece or subclaim
 # index), and lists the entries sorted by key.
 TRACE_RANKS = {
@@ -422,14 +407,14 @@ class ClaimVerifier:
 
     A claim runs in three phases: keyword extraction and selection; the
     summaries alongside the deconstruction; the subclaim verifications.
-    ``_start`` starts every call but the extraction. With an ``executor`` the
-    calls of a phase run concurrently (the verifications stay one at a time
-    under ``short_circuit``), and the deconstruction runs beside keyword
-    extraction. The claim thread would only wait for the summaries and the
-    verifications, so it makes the last of them itself while the pool makes
-    the others. Without an executor, every call runs in order on the
-    calling thread. Either way results are read in canonical order, so the
-    first failure in that order is the one raised.
+    ``_start`` starts every call but the extraction. Without an executor,
+    every call runs in order on the calling thread. With one, the calls of a
+    phase run concurrently (the verifications stay one at a time under
+    ``short_circuit``), and the deconstruction runs beside keyword
+    extraction; the claim thread makes the first summary and the first
+    verification itself as it reads them, while the pool makes the rest.
+    Either way results are read in canonical order, so the first failure in
+    that order is the one raised.
     Each stage method makes its model call through ``_call``, the one place
     where a call's failure gets its stage.
     """
@@ -549,18 +534,18 @@ class ClaimVerifier:
         self, calls: list[Call], started: list[Future], read_now: bool = False
     ) -> list[Call]:
         """Start ``calls``; each comes back as a function that returns its
-        result. With an executor, each is submitted now and its future added
-        to ``started``, which the claim waits for before it ends; but when
-        the caller will ``read_now``, and so would only wait, the last call
-        is made here on its thread, its failure kept until it is read.
-        Without one, they come back unchanged: each runs when its result is
-        read, so the caller's first failure or stop skips the rest."""
+        result. Without an executor they come back unchanged: each runs when
+        its result is read, so the caller's first failure or stop skips the
+        rest. With one, each is submitted now and its future added to
+        ``started``, which the claim waits for before it ends; but when the
+        caller will ``read_now``, and so would only wait, the first call
+        comes back unchanged and the claim thread makes it as it reads it."""
         if self.executor is None:
             return calls
-        pooled, own = (calls[:-1], calls[-1:]) if read_now else (calls, [])
-        futures = [self.executor.submit(call) for call in pooled]
+        own = calls[:1] if read_now else []
+        futures = [self.executor.submit(call) for call in calls[len(own) :]]
         started.extend(futures)
-        return [future.result for future in futures] + list(map(_made, own))
+        return own + [future.result for future in futures]
 
     def verify_claim(self, instance: ClaimInstance) -> VerificationReport:
         plan = PLANS[self.config.ablation]
@@ -614,6 +599,12 @@ class ClaimVerifier:
                 subclaims = deconstructed()
 
             raw = list(instance.evidence) if plan.raw_evidence else []
+            if not abstracted and not raw:
+                raise PipelineError(
+                    "no evidence to verify against: no piece was summarized "
+                    "under no-raw",
+                    stage="subclaim_verification",
+                )
             verify = partial(
                 self.verify_subclaim, abstracted=abstracted, raw=raw, claim=claim
             )

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+from ..llm import has_lone_surrogate
+
 _SLOT_RE = re.compile(r"\{\{([a-z_]+)\}\}")
 
 _DEFAULT_DIR = Path(__file__).resolve().parent
@@ -110,7 +112,8 @@ def _is_example(record: object) -> bool:
 
 def _load_examples(path: Path) -> dict[str, list[FewShotExample]]:
     """Example lists by task name. A misspelt task or a malformed entry is a
-    PromptError, so that no task's examples are silently dropped."""
+    PromptError, so that no task's examples are silently dropped; so is an
+    entry holding a lone surrogate, which would fail every prompt it is in."""
     if not path.is_file():
         raise PromptError(f"{path}: not a regular file")
     with open(path, encoding="utf-8") as fh:
@@ -130,9 +133,14 @@ def _load_examples(path: Path) -> dict[str, list[FewShotExample]]:
                     f"{path}: {task_name} example {index} must be "
                     '{"input_fields": {str: str}, "output": str}'
                 )
-            examples.append(
-                FewShotExample(tuple(record["input_fields"].items()), record["output"])
+            example = FewShotExample(
+                tuple(record["input_fields"].items()), record["output"]
             )
+            if has_lone_surrogate(example.render()):
+                raise PromptError(
+                    f"{path}: {task_name} example {index} holds a lone surrogate"
+                )
+            examples.append(example)
     return out
 
 

@@ -112,6 +112,25 @@ def test_within_the_bound_or_without_one_is_not_marked(tmp_path, capsys):
     assert "REGRESSION" not in out
 
 
+def test_a_spread_wider_than_the_bound_is_unresolved(tmp_path, capsys):
+    # Baseline rates 101, 102, 103, 107: quartile distance 2.25, over 1% of the
+    # median 102.5. Candidate rates 1.5 higher do not beat every baseline run.
+    bounds = {"claims_per_s": 0.01}
+    code, _, out = run_pairs(
+        tmp_path, capsys, bad_seed=-1, rates=(100.0, 101.5), bounds=bounds
+    )
+    assert code == 0
+    rows = {line.split()[0]: line for line in out.splitlines()}
+    assert rows["claims_per_s"].endswith("4/4 UNRESOLVED")
+    assert rows["claim_ms_p50"].endswith("4/4")
+    # Every candidate run beats every baseline run: resolved.
+    code, _, out = run_pairs(
+        tmp_path / "apart", capsys, bad_seed=-1, rates=(100.0, 200.0), bounds=bounds
+    )
+    assert code == 0
+    assert "UNRESOLVED" not in out
+
+
 # A fake run whose claims_per_s per seed, and failed count, are set per side.
 FAKE_CLAIM_RUN = """\
 import json, sys

@@ -1270,6 +1270,110 @@ class TestRejectedBeforeAnyCall:
         assert chat.requests == 0
 
 
+class TestLoneSurrogates:
+    """Text holding a lone surrogate, which no prompt hash, cache line or
+    report can encode, is refused before any call, from every source."""
+
+    @pytest.mark.parametrize(
+        "entry, index",
+        [
+            ({"regex": "Dissect a given claim", "response": "#1 Half \ud800."}, 3),
+            ({"regex": "\udc80", "response": "Never matched."}, 5),
+        ],
+        ids=["response", "regex"],
+    )
+    def test_a_script_entry(self, tmp_path, capsys, entry, index):
+        entries = list(REGEX_SCRIPT_ENTRIES)
+        entries.insert(index, entry)
+        # json.dumps writes each surrogate as a \udXXX escape.
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(entries), encoding="ascii")
+        code = main(
+            [
+                "verify",
+                "--claim", "Anything.",
+                "--evidence", str(spam_evidence_file(tmp_path)),
+                *scripted_args(script, tmp_path / "cache"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: script entry {index} holds a lone surrogate" in err
+        assert not ResponseCache(tmp_path / "cache").files()
+
+    @pytest.mark.parametrize(
+        "example",
+        [
+            {"input_fields": {"Claim": "A."}, "output": "half \ud800"},
+            {"input_fields": {"Claim": "half \udbff"}, "output": "a."},
+            {"input_fields": {"Cl\udc00im": "A."}, "output": "a."},
+        ],
+        ids=["output", "field-value", "field-label"],
+    )
+    def test_an_examples_string(self, six_bundle, tmp_path, capsys, example):
+        packaged = cli.PromptLibrary.load().directory
+        prompts_dir = tmp_path / "prompts"
+        skip = shutil.ignore_patterns("*.py", "__pycache__")
+        shutil.copytree(packaged, prompts_dir, ignore=skip)
+        examples = {"keyword_extraction": [{"input_fields": {"Claim": "B."},
+                                            "output": "b."}, example]}
+        (prompts_dir / "examples.json").write_text(
+            json.dumps(examples), encoding="ascii"
+        )
+        code = main(
+            [
+                "eval",
+                "--data-path", str(six_bundle.dataset_path),
+                "--prompts-dir", str(prompts_dir),
+                *scripted_args(six_bundle.script_path, tmp_path / "cache"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "keyword_extraction example 1 holds a lone surrogate" in err
+        assert not (tmp_path / "cache").exists()
+
+    def test_a_claim_argument_that_is_not_utf8(self, tmp_path, capsys):
+        # The argument bytes b"Caf\xe9." reach sys.argv as "Caf\udce9.".
+        with serve() as chat:
+            code = main(
+                [
+                    "verify",
+                    "--claim", "Caf\udce9.",
+                    "--evidence", str(spam_evidence_file(tmp_path)),
+                    "--backend", "http",
+                    "--endpoint", chat.url,
+                    "--cache-dir", str(tmp_path / "cache"),
+                ]
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: --claim is not UTF-8 text" in err
+        assert chat.requests == 0
+
+    def test_a_dataset_id_is_a_data_error(self, tmp_path, capsys):
+        record = {"id": "t\ud800", "claim": "Alpha.", "label": True,
+                  "evidence": [{"text": "alpha."}]}
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps(record) + "\n", encoding="ascii")
+        with serve() as chat:
+            code = main(
+                [
+                    "eval",
+                    "--data-path", str(data),
+                    "--backend", "http",
+                    "--endpoint", chat.url,
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path / "out"),
+                ]
+            )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"data error: {data}:1: text holds a lone surrogate" in err
+        assert chat.requests == 0
+        assert not (tmp_path / "out").exists()
+
+
 def non_finite_cases():
     """Every float option with NaN and both infinities, through its flag
     where it has one and through a config file."""

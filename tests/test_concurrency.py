@@ -406,3 +406,59 @@ class TestFourPieceClaim:
         assert report.counts.error_count == 0
         assert server.peak["summary"] == 4
         assert server.peak["all"] <= 5
+
+
+class TestInFlightBoundAtTwoWorkers:
+    # Two four-piece claims with different keywords, so that each claim's
+    # summaries carry its own keyword list; every claim deconstructs into
+    # ten subclaims, more than the pool's eight threads.
+    INSTANCES = [
+        ClaimInstance(
+            id=words[0].lower(),
+            claim=f"{words[0]} {words[1]}.",
+            evidence=tuple(
+                EvidencePiece(f"{words[0]} {words[1]} {n}.")
+                for n in ("one", "two", "three", "four")
+            ),
+            gold_label=Verdict.TRUE,
+        )
+        for words in (("Alpha", "beta"), ("Gamma", "delta"))
+    ]
+    KEYWORDS = {"alpha": "alpha, beta.", "gamma": "gamma, delta."}
+
+    def test_at_most_five_per_worker_and_every_summary_at_once(
+        self, prompt_library
+    ):
+        marks = {**MARKS, **self.KEYWORDS}
+        subclaims = " ".join(f"#{n} Part {n}." for n in range(1, 11))
+        with serve(marks=marks) as server:
+
+            def answer(prompt: str) -> Reply:
+                if MARKS["extract"] in prompt:
+                    text = self.KEYWORDS["alpha" if "Alpha beta." in prompt else "gamma"]
+                    return Reply(body=chat_payload(text, 5, 2), delay=0.05)
+                if MARKS["deconstruct"] in prompt:
+                    return Reply(body=chat_payload(subclaims, 5, 2), delay=0.6)
+                if MARKS["verify"] in prompt:
+                    return Reply(body=chat_payload("Yes.", 5, 2), delay=0.1)
+                return Reply(body=chat_payload("Summary.", 5, 2), delay=0.3)
+
+            server.answer = answer
+            report = run_eval(
+                self.INSTANCES, http_config(server), prompt_library, workers=2
+            )
+        assert report.counts.error_count == 0
+        verifications = [
+            seen for seen in server.requests_seen
+            if MARKS["verify"] in seen["body"]["messages"][0]["content"]
+        ]
+        assert len(verifications) == 20
+        # Both claims' eight summaries at once, beside two deconstructions:
+        # each claim thread makes one, the pool's other six threads the rest.
+        assert {"alpha": 4, "gamma": 4, "deconstruct": 2}.items() <= max(
+            server.arrivals, key=lambda now: now["alpha"] + now["gamma"]
+        ).items()
+        # More verifications than pool threads, and never more than 5 per
+        # worker in flight.
+        assert server.peak["verify"] > 8
+        assert server.peak["all"] <= 10

@@ -14,6 +14,7 @@ from claimpipe.data import (
     LabelMap,
     dump_generic,
     json_text,
+    load_evidence,
     load_feverous,
     load_generic,
     load_hover,
@@ -394,6 +395,79 @@ class TestSharedRecordRules:
             EvidencePiece(text="a.", title=None),
             EvidencePiece(text="b.", title=None),
         )
+
+
+def surrogate_file(tmp_path, loader, field, text):
+    """A file for ``loader`` of two records, the second with ``text`` in
+    ``field``, and that record's reference in error messages. json.dumps
+    writes a surrogate in ``text`` as a ``\\udXXX`` escape."""
+    records = []
+    for number in range(2):
+        values = {"id": f"r{number}", "claim": "C.", "title": "T", "text": "E."}
+        if number:
+            values[field] = text
+        uid, claim, title, body = values.values()
+        if loader is load_hover:
+            evidence = [[title, body]]
+            records.append(
+                {"uid": uid, "claim": claim, "label": "SUPPORTED", "evidence": evidence}
+            )
+            continue
+        evidence = [{"title": title, "text": body}]
+        if loader is load_feverous:
+            records.append(
+                {"id": uid, "claim": claim, "label": "SUPPORTS", "evidence": evidence}
+            )
+        elif loader is load_generic:
+            records.append(
+                {"id": uid, "claim": claim, "label": True, "evidence": evidence}
+            )
+        else:
+            records.extend(evidence)
+    if loader in (load_feverous, load_generic):
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), "ascii")
+        return path, f"{path}:2"
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(records), "ascii")
+    return path, f"{path}[1]"
+
+
+LOADERS = {
+    "hover": load_hover,
+    "feverous": load_feverous,
+    "generic": load_generic,
+    "evidence": load_evidence,
+}
+
+
+class TestLoneSurrogates:
+    # An evidence file holds no ids or claims.
+    @pytest.mark.parametrize(
+        "loader, field",
+        [
+            pytest.param(loader, field, id=f"{name}-{field}")
+            for name, loader in LOADERS.items()
+            for field in ("id", "claim", "title", "text")
+            if loader is not load_evidence or field in ("title", "text")
+        ],
+    )
+    @pytest.mark.parametrize("lone", ["\ud800", "\udfff"], ids=["high", "low"])
+    def test_a_lone_surrogate_is_a_data_error_naming_the_record(
+        self, tmp_path, loader, field, lone
+    ):
+        path, ref = surrogate_file(tmp_path, loader, field, f"half {lone} pair")
+        with pytest.raises(DataError) as info:
+            loader(path)
+        assert str(info.value).startswith(f"{ref}: text holds a lone surrogate")
+
+    @pytest.mark.parametrize("loader", LOADERS.values(), ids=LOADERS.keys())
+    def test_a_surrogate_pair_is_one_character(self, tmp_path, loader):
+        path, _ = surrogate_file(tmp_path, loader, "text", "smile \U0001f600")
+        assert "\\ud83d\\ude00" in path.read_text(encoding="ascii")
+        loaded = loader(path)
+        pieces = loaded if loader is load_evidence else loaded[1].evidence
+        assert pieces[-1].text == "smile \U0001f600"
 
 
 # Text with non-ASCII, control and escaped characters in every position.

@@ -248,6 +248,22 @@ class TestResponseCache:
         assert [path.suffix for path in first.files()] == [".jsonl", ".jsonl"]
         assert ResponseCache(tmp_path).entries() == ["a", "b"]
 
+    def test_two_instances_in_one_clock_tick_write_two_segments(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(llm.time, "time_ns", lambda: 1000)
+        first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
+        first.put("a", CompletionResponse(text="x"))
+        second.put("b", CompletionResponse(text="y"))
+        second.put("c", CompletionResponse(text="z"))
+        pid = os.getpid()
+        assert [path.name for path in first.files()] == [
+            f"1000-{pid}.jsonl", f"1001-{pid}.jsonl"
+        ]
+        assert ResponseCache(tmp_path).entries() == ["a", "b", "c"]
+        assert ResponseCache(tmp_path).clear() == 3
+        assert first.files() == []
+
     def test_concurrent_puts_write_whole_lines(self, tmp_path):
         cache = ResponseCache(tmp_path)
         start = threading.Barrier(8)
@@ -513,6 +529,18 @@ class TestHttpClient:
         client = CompletionClient(http_backend(chat_server))
         with pytest.raises(MalformedResponseError, match="not a string"):
             client.complete_prompt("x")
+
+    def test_content_with_a_lone_surrogate_is_malformed_and_not_cached(
+        self, chat_server, tmp_path
+    ):
+        # json.dumps sends the surrogate as the escape \ud800.
+        chat_server.replies = [Reply(body=chat_payload("half \ud800 pair"))]
+        cache = ResponseCache(tmp_path / "cache")
+        client = CompletionClient(http_backend(chat_server), cache=cache)
+        with pytest.raises(MalformedResponseError, match="lone surrogate"):
+            client.complete_prompt("x")
+        assert len(chat_server.requests_seen) == 1
+        assert cache.files() == []
 
     def test_timeout_retried_then_succeeds(self, chat_server):
         # The first request outlasts the client's timeout and is never

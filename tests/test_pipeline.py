@@ -17,6 +17,7 @@ from conftest import (
     write_regex_script,
 )
 from claimpipe import pipeline
+from claimpipe.evaluation import run_eval
 from claimpipe.fuzzy import partial_ratio, preprocess
 from claimpipe.llm import CompletionClient, Script, ScriptedMissError, prompt_sha256
 from claimpipe.pipeline import (
@@ -547,6 +548,31 @@ class TestErrorAnnotation:
         with pytest.raises(PipelineError) as info:
             verifier.verify_claim(TINY)
         assert info.value.stage == "subclaim_verification"
+
+    def test_no_raw_with_nothing_summarized_is_one_error_naming_why(
+        self, tmp_path, prompt_library
+    ):
+        # One extracted keyword, so no piece reaches the two a summary needs.
+        entries = [
+            {"regex": "such as important verbs", "response": "alpha."},
+            *REGEX_SCRIPT_ENTRIES[3:],
+        ]
+        verifier, config = make_verifier(
+            tmp_path, prompt_library, entries, ablation=Ablation.NO_RAW_EVIDENCE
+        )
+        with pytest.raises(PipelineError) as info:
+            verifier.verify_claim(TINY)
+        assert info.value.stage == "subclaim_verification"
+        assert info.value.raw_message == (
+            "no evidence to verify against: no piece was summarized under no-raw"
+        )
+        assert info.value.__cause__ is None
+        # The deconstruction was made; no verification was.
+        assert verifier.verification_client.request_count == 1
+        labelled = dataclasses.replace(TINY, gold_label=Verdict.TRUE)
+        row = run_eval([labelled], config, prompt_library).rows[0]
+        assert (row.error, row.predicted) == (True, Verdict.FALSE)
+        assert row.error_message == str(info.value)
 
 
     def test_unforeseen_error_fails_the_claim_alone(
