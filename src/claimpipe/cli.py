@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .data import (
     DataError,
-    json_text,
     load_feverous,
     load_generic,
     load_hover,
@@ -161,6 +160,15 @@ _EXPECTED = {
 }
 
 
+def _utf8(name: str, value: object) -> object:
+    """``value``, unless it is text holding a lone surrogate, which no prompt
+    hash, cache key or output file can encode. Argument bytes that are not
+    UTF-8 arrive as one, and so does a config file's unpaired ``\\udXXX``."""
+    if isinstance(value, str) and has_lone_surrogate(value):
+        raise ConfigError(f"{name} is not UTF-8 text: it holds a lone surrogate")
+    return value
+
+
 def _checked(key: str, value: object) -> object:
     """A config-file value, checked against its option: an int is widened where
     a float is expected, and null is taken only where the default is null."""
@@ -172,7 +180,7 @@ def _checked(key: str, value: object) -> object:
     if type(value) is option.kind and (
         option.choices is None or value in option.choices
     ):
-        return value
+        return _utf8(key, value)
     expected = _EXPECTED[option.kind]
     if option.choices is not None:
         expected = f"one of {json.dumps(option.choices)}"
@@ -203,7 +211,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
         # None means "flag not given"; explicit False (e.g. --no-short-circuit)
         # must still override the config file.
         if value is not None:
-            effective[key] = value
+            effective[key] = _utf8("--" + key.replace("_", "-"), value)
     if effective["workers"] < 1:
         raise ConfigError("workers must be >= 1")
     for key in ("out", "cache_dir"):
@@ -276,9 +284,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     options = _merge_options(args)
     if not options["claim"] or not str(options["claim"]).strip():
         raise ConfigError("--claim is required")
-    if has_lone_surrogate(options["claim"]):
-        # Argument bytes that are not UTF-8 arrive as lone surrogates.
-        raise ConfigError("--claim is not UTF-8 text: it holds a lone surrogate")
     if not options["evidence"]:
         raise ConfigError("--evidence is required")
     evidence = _read_evidence_file(options["evidence"])
@@ -294,7 +299,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with open_verifier(config, prompts, cache=cache) as verifier:
         report = verifier.verify_claim(instance)
     payload = {"config": config.to_dict(), "report": report.to_dict()}
-    sys.stdout.write(json_text(payload))
+    sys.stdout.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
     if written is not None:
         write_json(written, payload)
     return 0

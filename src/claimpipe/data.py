@@ -9,6 +9,9 @@ Loaders expect evidence already resolved to sentence text. Records whose
 FEVEROUS evidence consists only of structured elements (table cells, list
 items) are skipped with a counted diagnostic; unresolved sentence ids are an
 error, since verification needs the text itself.
+
+Every JSON output file (traces, ``report.json``, ``verify.json``) is written
+by :func:`write_json`.
 """
 from __future__ import annotations
 
@@ -16,8 +19,6 @@ import json
 import logging
 from collections.abc import Iterator
 from dataclasses import dataclass
-from json.encoder import INFINITY as _INFINITY
-from json.encoder import encode_basestring as _quote
 from pathlib import Path
 
 from .llm import has_lone_surrogate, may_decode_to_lone_surrogate
@@ -54,98 +55,14 @@ Entry = tuple[str | None, str]
 _STRUCTURED_MARKERS = ("_cell_", "_header_cell_", "_table_caption_", "_item_")
 
 
-def _float_text(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _scalar_text(value: object) -> str | None:
-    """JSON text of a string, null, bool, int or float; None for other types."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    return None
-
-
-def _key_text(key: object) -> str:
-    if isinstance(key, str):
-        return _quote(key)
-    text = _scalar_text(key)
-    if text is None:
-        raise TypeError(
-            f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-        )
-    return _quote(text)
-
-
-def _emit(value: object, chunks: list[str], indent: str) -> None:
-    """Append ``value``'s JSON text to ``chunks``, nested at ``indent``."""
-    if type(value) is str:
-        chunks.append(_quote(value))
-    elif isinstance(value, dict):
-        if not value:
-            chunks.append("{}")
-            return
-        inner = indent + "  "
-        separator = "{\n" + inner
-        for key, item in value.items():
-            chunks.append(separator + _key_text(key) + ": ")
-            _emit(item, chunks, inner)
-            separator = ",\n" + inner
-        chunks.append("\n" + indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            chunks.append("[]")
-            return
-        inner = indent + "  "
-        separator = "[\n" + inner
-        for item in value:
-            chunks.append(separator)
-            _emit(item, chunks, inner)
-            separator = ",\n" + inner
-        chunks.append("\n" + indent + "]")
-    else:
-        text = _scalar_text(value)
-        if text is None:
-            raise TypeError(
-                f"Object of type {type(value).__name__} is not JSON serializable"
-            )
-        chunks.append(text)
-
-
-def json_text(payload: object) -> str:
-    """The one serialization of every JSON output: indented, non-ASCII kept,
-    ending in a newline.
-
-    Byte-equal to ``json.dumps(payload, ensure_ascii=False, indent=2) + "\\n"``,
-    whose indented form runs the pure-Python encoder; this one hands strings
-    to the C string encoder and joins its chunks once.
-    """
-    chunks: list[str] = []
-    _emit(payload, chunks, "")
-    chunks.append("\n")
-    return "".join(chunks)
-
-
 def write_json(path: str | Path, payload: object) -> None:
-    """Write ``json_text(payload)`` as UTF-8, creating the parent directory."""
+    """Write ``payload`` as every JSON output is written: indented by two
+    spaces, non-ASCII kept, ending in a newline, as UTF-8. The parent
+    directory is created."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json_text(payload), encoding="utf-8")
+    text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    path.write_text(text, encoding="utf-8")
 
 
 def _read_records(

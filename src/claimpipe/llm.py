@@ -76,18 +76,31 @@ class BackendKind(str, Enum):
     SCRIPTED = "scripted"
 
 
+def _address(parts: SplitResult) -> tuple[str | None, int]:
+    """The host and port of an http(s) URL, the port spelled out: without
+    one, ``http.client`` reads the last group of an IPv6 host as the port."""
+    return parts.hostname, parts.port or (443 if parts.scheme == "https" else 80)
+
+
 def _is_http_url(url: str) -> bool:
-    """Whether ``url`` is an http(s) URL with a host and no "@" after it.
+    """Whether ``url`` is an http(s) URL with a host that can be connected
+    to and no "@" after it.
 
     A "/", "?" or "#" in a password ends the authority early, so urlsplit
     would read the user as the host and the password's start as the port,
     and the request would go there; the "@" that ended the userinfo is left
-    in the path, query or fragment.
+    in the path, query or fragment. The host must encode as IDNA, as the
+    socket encodes it, and pass the check ``http.client.HTTPConnection``
+    makes when it is constructed, which refuses a space or a control
+    character; constructing one does not connect.
     """
     try:
         parts = urlsplit(url)
         parts.port  # raises on a port that is not a number in range
-    except ValueError:
+        if parts.hostname:
+            parts.hostname.encode("idna")
+            http.client.HTTPConnection(*_address(parts))
+    except (ValueError, http.client.InvalidURL):
         return False
     return (
         parts.scheme in ("http", "https")
@@ -131,8 +144,9 @@ class BackendConfig:
         if self.kind is BackendKind.HTTP_CHAT and not _is_http_url(self.endpoint_url):
             raise ValueError(
                 "http backend requires an endpoint: an http or https URL with a "
-                "host and no '@' after it (percent-encode a '/' or '@' in a "
-                f"password), got {public_endpoint(self.endpoint_url)!r}"
+                "host (IDNA text, no space or control character) and no '@' "
+                "after it (percent-encode a '/' or '@' in a password), got "
+                f"{public_endpoint(self.endpoint_url)!r}"
             )
         if self.kind is BackendKind.SCRIPTED and not self.script_path:
             raise ValueError("scripted backend requires a script path")
@@ -196,7 +210,7 @@ def retry_delay(
 def has_lone_surrogate(text: str) -> bool:
     """Whether ``text`` holds a lone surrogate, and so cannot be hashed,
     cached or sent. Data and evidence files, scripts, few-shot examples,
-    ``verify --claim`` and HTTP completions are each checked with this.
+    text options and HTTP completions are each checked with this.
 
     Python text holds a UTF-16 surrogate only alone: from a JSON ``\\udXXX``
     escape that is not half of a pair, or from an argument byte that is not
@@ -368,11 +382,6 @@ class ResponseCache:
         return removed
 
 
-def script_entry(prompt: str, response: str) -> dict:
-    """Build a hash-keyed script entry for a known prompt."""
-    return {"hash": prompt_sha256(prompt), "response": response}
-
-
 class Script:
     """Deterministic prompt -> response lookup loaded from a JSON file.
 
@@ -469,17 +478,28 @@ def _proxy_for(parts: SplitResult) -> SplitResult | None:
     return urlsplit(proxy if "://" in proxy else f"http://{proxy}")
 
 
+def _tls_context() -> ssl.SSLContext:
+    """What https trusts: the CA bundle named by ``REQUESTS_CA_BUNDLE``, else
+    by ``CURL_CA_BUNDLE`` (a file, or a directory of certificates), and
+    otherwise the system's. A bundle that cannot be loaded is a ValueError."""
+    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    try:
+        if bundle and os.path.isdir(bundle):
+            return ssl.create_default_context(capath=bundle)
+        return ssl.create_default_context(cafile=bundle or None)
+    except OSError as exc:  # ssl.SSLError is one too
+        raise ValueError(f"cannot load the CA bundle {bundle}: {exc}") from exc
+
+
 def _route_to(
-    url: str, timeout: float
+    url: str, timeout: float, context: ssl.SSLContext | None
 ) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
     """A connection towards ``url``, not yet open, with the request target
     and the headers to send on it, from the environment as it is now.
 
-    https trusts the CA bundle named by ``REQUESTS_CA_BUNDLE``, else by
-    ``CURL_CA_BUNDLE`` (a file, or a directory of certificates), and
-    otherwise the system's. Through a proxy, plain http sends the whole URL
-    as the target, and https goes through a CONNECT tunnel; credentials in
-    the proxy URL are sent as ``Proxy-Authorization``. The netrc
+    https trusts ``context``. Through a proxy, plain http sends the whole
+    URL as the target, and https goes through a CONNECT tunnel; credentials
+    in the proxy URL are sent as ``Proxy-Authorization``. The netrc
     credentials for the host, else those in ``url``, are the ``Basic``
     authorization. ``timeout`` bounds connecting and each wait for bytes.
     """
@@ -493,7 +513,7 @@ def _route_to(
         credentials = unquote(parts.username), unquote(parts.password or "")
     if credentials is not None:
         headers["Authorization"] = _basic_auth(*credentials)
-    host, port = parts.hostname, parts.port
+    host, port = _address(parts)
     proxy = _proxy_for(parts)
     proxy_headers = {}
     if proxy is not None:
@@ -508,16 +528,11 @@ def _route_to(
             target = f"http://{parts.netloc.rpartition('@')[2]}{target}"
             headers.update(proxy_headers)
         return connection, target, headers
-    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-    if bundle and os.path.isdir(bundle):
-        context = ssl.create_default_context(capath=bundle)
-    else:
-        context = ssl.create_default_context(cafile=bundle or None)
     connection = http.client.HTTPSConnection(
         host, port, timeout=timeout, context=context
     )
     if proxy is not None:
-        connection.set_tunnel(parts.hostname, parts.port, headers=proxy_headers)
+        connection.set_tunnel(*_address(parts), headers=proxy_headers)
     return connection, target, headers
 
 
@@ -540,19 +555,24 @@ def _close_all(connections: list[http.client.HTTPConnection]) -> None:
 class CompletionClient:
     """Caching client over one configured backend. Thread-safe.
 
-    A scripted backend reads its script file. An HTTP backend keeps one
-    kept-alive ``http.client`` connection per calling thread, made on that
-    thread's first call (see ``_route_to``), so constructing a client opens
-    and reads nothing. ``close`` closes them all, and so does collecting a
-    client that was never closed.
+    A scripted backend reads its script file. An https backend loads its CA
+    bundle (see ``_tls_context``), so a bundle that cannot be loaded fails
+    here, before any call. An HTTP backend keeps one kept-alive
+    ``http.client`` connection per calling thread, made on that thread's
+    first call (see ``_route_to``), so constructing a client opens no
+    connection. ``close`` closes them all, and so does collecting a client
+    that was never closed.
     """
 
     def __init__(self, backend: BackendConfig, cache: ResponseCache | None = None):
         self.backend = backend
         self.cache = cache
         self.script = None
+        self._tls = None
         if backend.kind is BackendKind.SCRIPTED:
             self.script = Script.load(backend.script_path)
+        elif urlsplit(backend.endpoint_url).scheme == "https":
+            self._tls = _tls_context()
         self._lock = threading.Lock()
         self._local = threading.local()
         self._connections: list[http.client.HTTPConnection] = []
@@ -574,11 +594,18 @@ class CompletionClient:
     def _route(self) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
         """This thread's connection, request target and headers. They are
         made from the environment at the thread's first call, which reads
-        the proxy, CA-bundle and netrc settings once, and then stops
-        consulting them."""
+        the proxy and netrc settings once, and then stops consulting them.
+        A setting that no route can be made from, such as a proxy port out
+        of range, is a TransportError."""
         route = getattr(self._local, "route", None)
         if route is None:
-            route = _route_to(self.backend.endpoint_url, self.backend.request_timeout)
+            url = self.backend.endpoint_url
+            try:
+                route = _route_to(url, self.backend.request_timeout, self._tls)
+            except (OSError, ValueError, http.client.HTTPException) as exc:
+                raise TransportError(
+                    f"cannot route a request to {public_endpoint(url)}: {exc}"
+                ) from exc
             with self._lock:
                 if self._finalizer is None:
                     # Closes the connections of a client collected unclosed.

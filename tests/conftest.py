@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import fixture_six
-from claimpipe.llm import BackendConfig, BackendKind, script_entry
+from claimpipe.llm import BackendConfig, BackendKind, prompt_sha256
 from claimpipe.pipeline import ClaimInstance, EvidencePiece, PipelineConfig, Verdict
 from claimpipe.prompts import PromptLibrary, format_evidence_block
 
@@ -34,6 +34,11 @@ def fixture_instances() -> list[ClaimInstance]:
         )
         for case in fixture_six.CLAIMS
     ]
+
+
+def script_entry(prompt: str, response: str) -> dict:
+    """Build a hash-keyed script entry for a known prompt."""
+    return {"hash": prompt_sha256(prompt), "response": response}
 
 
 def six_claim_script_entries(prompts: PromptLibrary) -> list[dict]:

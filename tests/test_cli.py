@@ -1416,6 +1416,157 @@ class TestNonFiniteSettings:
         assert not (tmp_path / "out").exists()
 
 
+def lone_surrogate_cases():
+    """Every text option with a lone surrogate, through its flag where it has
+    one and through a config file."""
+    for key, option in cli.OPTIONS.items():
+        if option.kind is not str:
+            continue
+        routes = ["flag", "config"] if option.commands else ["config"]
+        for route in routes:
+            yield pytest.param(key, route, id=f"{key}-{route}")
+
+
+def main_status(argv):
+    """``main``'s exit status, also when argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestLoneSurrogateSettings:
+    @pytest.mark.parametrize("key, route", lone_surrogate_cases())
+    def test_rejected_before_any_request(self, tmp_path, capsys, key, route):
+        option = cli.OPTIONS[key]
+        command = "eval"
+        if route == "flag" and command not in option.commands:
+            command = option.commands[0]
+        with serve() as chat:
+            # Values the run accepts; the one under test gets a lone surrogate.
+            accepted = {
+                "claim": "Anything.",
+                "evidence": str(spam_evidence_file(tmp_path)),
+                "variants": "none",
+                "data_path": str(tiny_dataset_file(tmp_path)),
+                "endpoint": chat.url,
+                "prompts_dir": str(cli.PromptLibrary.load().directory),
+                "cache_dir": str(tmp_path / "cache"),
+                "out": str(tmp_path / "out"),
+            }
+            value = (accepted.get(key) or option.default or "m") + "\udcff"
+            argv = [command]
+            for name, given in accepted.items():
+                if name != key and command in cli.OPTIONS[name].commands:
+                    argv += [f"--{name.replace('_', '-')}", given]
+            if route == "flag":
+                argv += [f"--{key.replace('_', '-')}", value]
+            else:
+                # json.dumps writes the surrogate as a \udXXX escape.
+                config = write_json(tmp_path / "c.json", {key: value})
+                argv += ["--config", str(config)]
+            code = main_status(argv)
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        (error,) = [line for line in lines if "error" in line]
+        assert (f"--{key.replace('_', '-')}" if route == "flag" else key) in error
+        assert chat.requests == 0
+        assert not (tmp_path / "out").exists()
+
+
+class TestHostsThatHttpClientRefuses:
+    @pytest.mark.parametrize(
+        "spell",
+        [
+            lambda url: url.replace("127.0.0.1", "127.0.0.1 "),
+            lambda url: url.replace("127.0.0.1", "127.0.0.1\x7f"),
+            lambda url: url.replace("127.0.0.1", "127.0.0.1.."),
+            lambda url: url.replace("127.0.0.1", "a" * 64 + ".127.0.0.1"),
+            lambda url: "http://h\udcff.invalid/v1",
+        ],
+        ids=["space", "control", "empty-label", "long-label", "lone-surrogate"],
+    )
+    def test_rejected_before_any_request(self, tmp_path, capsys, spell):
+        with serve() as chat:
+            code = main(
+                [
+                    "eval",
+                    "--data-path", str(tiny_dataset_file(tmp_path)),
+                    "--backend", "http",
+                    "--endpoint", spell(chat.url),
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path / "out"),
+                ]
+            )
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        (error,) = [line for line in lines if "error" in line]
+        assert error.startswith("config error:") and "endpoint" in error
+        assert chat.requests == 0
+        assert not (tmp_path / "out").exists()
+
+
+class TestRouteFaults:
+    @pytest.mark.parametrize(
+        "variable, contents",
+        [
+            ("REQUESTS_CA_BUNDLE", None),
+            ("CURL_CA_BUNDLE", None),
+            ("REQUESTS_CA_BUNDLE", "not a certificate\n"),
+        ],
+        ids=["requests-missing", "curl-missing", "requests-not-pem"],
+    )
+    def test_a_ca_bundle_that_cannot_be_loaded_is_a_config_error(
+        self, monkeypatch, tmp_path, capsys, variable, contents
+    ):
+        for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+            monkeypatch.delenv(name, raising=False)
+        bundle = tmp_path / "bundle.pem"
+        if contents is not None:
+            bundle.write_text(contents, encoding="ascii")
+        monkeypatch.setenv(variable, str(bundle))
+        with serve(tls=True) as chat:
+            code = main(
+                [
+                    "eval",
+                    "--data-path", str(tiny_dataset_file(tmp_path)),
+                    "--backend", "http",
+                    "--endpoint", chat.url,
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path / "out"),
+                ]
+            )
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        (error,) = [line for line in lines if "error" in line]
+        assert error.startswith(f"config error: cannot load the CA bundle {bundle}")
+        assert (chat.connections, chat.requests) == (0, 0)
+        assert not (tmp_path / "out").exists()
+
+    def test_a_proxy_no_route_can_be_made_to_is_an_outage(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        for name in ("http_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:99999")
+        with serve() as chat:
+            code = main(
+                [
+                    "eval",
+                    "--data-path", str(tiny_dataset_file(tmp_path)),
+                    "--backend", "http",
+                    "--endpoint", chat.url,
+                    "--cache-dir", str(tmp_path / "cache"),
+                ]
+            )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "backend error: every claim failed, first:" in err
+        assert "cannot route a request" in err
+        assert chat.requests == 0
+
+
 # Spellings of an endpoint by test id suffix. urlsplit drops leading spaces,
 # and tabs anywhere, before it parses, so it sends these credentials too.
 ENDPOINT_SPELLINGS = {

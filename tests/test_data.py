@@ -4,8 +4,6 @@ import json
 import logging
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from claimpipe.data import (
     DataError,
@@ -13,12 +11,12 @@ from claimpipe.data import (
     HOVER_LABELS,
     LabelMap,
     dump_generic,
-    json_text,
     load_evidence,
     load_feverous,
     load_generic,
     load_hover,
 )
+from claimpipe.data import write_json as write_json_output
 from claimpipe.pipeline import ClaimInstance, EvidencePiece, Verdict
 
 
@@ -470,12 +468,6 @@ class TestLoneSurrogates:
         assert pieces[-1].text == "smile \U0001f600"
 
 
-# Text with non-ASCII, control and escaped characters in every position.
-TEXT = st.text(max_size=6) | st.sampled_from(
-    ["", "é", "naïve 日本", "\x00\x1f\x7f", '"\\/', "\u2028\ud83d", "\n\t"]
-)
-
-
 class ReprFloat(float):
     """A float whose own text is not its number's; JSON writes the number."""
 
@@ -494,42 +486,53 @@ class ReprInt(int):
     __str__ = __repr__
 
 
-SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=2**64, max_value=2**200)
-    | st.floats()
-    | st.floats().map(ReprFloat)
-    | st.integers().map(ReprInt)
-    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e16])
-    | TEXT
-)
-KEYS = TEXT | st.booleans() | st.none() | st.integers() | st.floats()
-JSON_VALUES = st.recursive(
-    SCALARS,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(KEYS, children, max_size=4),
-    max_leaves=20,
-)
+def lines(*texts):
+    return "".join(text + "\n" for text in texts)
 
 
-class TestJsonText:
-    @settings(deadline=None)
-    @given(JSON_VALUES)
-    @example({})
-    @example([[], (), {"": {}}])
-    @example({"\x00é": [True, 1, False, 0, None, 2**100, -(2**70)]})
-    @example([-0.0, float("nan"), float("inf"), float("-inf"), 1e-7, 0.1])
-    @example({1: "a", 2.5: "b", True: "c", None: "d", float("nan"): "e"})
-    @example([ReprFloat(0.5), ReprInt(3), {ReprFloat(1.5): ReprInt(-2)}])
-    def test_equals_indented_json_dumps(self, value):
-        assert json_text(value) == json.dumps(value, ensure_ascii=False, indent=2) + "\n"
+class TestWriteJson:
+    """Every JSON output's bytes: indented by two spaces, non-ASCII kept, and
+    the literals and key spellings of Python's encoder."""
 
-    @pytest.mark.parametrize("value", [{1, 2}, {"a": [{"b"}]}, {("k",): 1}])
-    def test_unserializable_types_raise_type_error(self, value):
+    @pytest.mark.parametrize(
+        "payload, text",
+        [
+            ({}, lines("{}")),
+            ([[], (), {"": {}}], lines(
+                "[", "  [],", "  [],", "  {", '    "": {}', "  }", "]")),
+            (
+                {"\x00é": [True, 1, False, 0, None, 2**100, -(2**70)]},
+                lines(
+                    "{", '  "\\u0000é": [', "    true,", "    1,", "    false,",
+                    "    0,", "    null,", "    1267650600228229401496703205376,",
+                    "    -1180591620717411303424", "  ]", "}",
+                ),
+            ),
+            (
+                [-0.0, float("nan"), float("inf"), float("-inf"), 1e-7, 0.1],
+                lines("[", "  -0.0,", "  NaN,", "  Infinity,", "  -Infinity,",
+                      "  1e-07,", "  0.1", "]"),
+            ),
+            (
+                {1: "a", 2.5: "b", False: "c", None: "d", float("nan"): "e"},
+                lines("{", '  "1": "a",', '  "2.5": "b",', '  "false": "c",',
+                      '  "null": "d",', '  "NaN": "e"', "}"),
+            ),
+            (
+                [ReprFloat(0.5), ReprInt(3), {ReprFloat(1.5): ReprInt(-2)}],
+                lines("[", "  0.5,", "  3,", "  {", '    "1.5": -2', "  }", "]"),
+            ),
+        ],
+        ids=["empty", "nested-empty", "scalars", "floats", "key-types", "subclasses"],
+    )
+    def test_bytes(self, tmp_path, payload, text):
+        path = tmp_path / "made" / "out.json"
+        write_json_output(path, payload)
+        assert path.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("payload", [{1, 2}, {"a": [{"b"}]}, {("k",): 1}])
+    def test_unserializable_types_raise_type_error(self, tmp_path, payload):
+        path = tmp_path / "out.json"
         with pytest.raises(TypeError):
-            json.dumps(value)
-        with pytest.raises(TypeError):
-            json_text(value)
+            write_json_output(path, payload)
+        assert not path.exists()

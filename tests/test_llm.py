@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chatfake import CA, Reply, chat_payload, serve, tunnel
+from conftest import script_entry
 import claimpipe
 from claimpipe import llm
 from claimpipe.cli import main
@@ -37,7 +38,6 @@ from claimpipe.llm import (
     prompt_sha256,
     public_endpoint,
     retry_delay,
-    script_entry,
 )
 from claimpipe.pipeline import (
     ClaimInstance,
@@ -110,6 +110,17 @@ class TestBackendConfig:
             BackendConfig(
                 kind=BackendKind.HTTP_CHAT, endpoint_url="http://x", max_retries=-1
             )
+
+    @pytest.mark.parametrize(
+        "host", ["a b", "a\x7fb", "a..b", "a" * 64 + ".b", "h\udcff.invalid"],
+        ids=["space", "control", "empty-label", "long-label", "lone-surrogate"],
+    )
+    def test_a_host_http_client_refuses_is_rejected(self, host):
+        with pytest.raises(ValueError, match="IDNA text"):
+            BackendConfig(kind=BackendKind.HTTP_CHAT, endpoint_url=f"http://{host}/v1")
+
+    def test_a_host_idna_encodes_is_accepted(self):
+        BackendConfig(kind=BackendKind.HTTP_CHAT, endpoint_url="http://bücher.example/v1")
 
 
 # Characters a userinfo, a path segment and a query may hold as they are.
@@ -843,6 +854,17 @@ class TestEnvironment:
             assert proxy.targets == [f"127.0.0.1:{server.server_address[1]}"]
             assert (server.connections, server.requests) == (1, 2)
             assert server.paths == ["/v1/chat", "/v1/chat"]
+
+    @pytest.mark.parametrize("scheme, port", [("http", 80), ("https", 443)])
+    @pytest.mark.parametrize("host", ["::1", "fe80::abcd"])
+    def test_an_ipv6_host_without_a_port_gets_the_default_port(
+        self, scheme, port, host
+    ):
+        # http.client would read "1" or "abcd", the last group, as the port.
+        url = f"{scheme}://[{host}]/v1"
+        BackendConfig(kind=BackendKind.HTTP_CHAT, endpoint_url=url)
+        connection, target, _ = llm._route_to(url, 1.0, None)
+        assert (connection.host, connection.port, target) == (host, port, "/v1")
 
     def test_the_query_goes_in_the_request_target(self, chat_server):
         url = chat_server.url + "?api-version=1"
