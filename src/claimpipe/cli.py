@@ -32,6 +32,7 @@ from .evaluation import (
     EvalReport,
     check_outputs,
     comparison_table,
+    nearest_existing,
     run_ablation_matrix,
     run_into,
 )
@@ -216,8 +217,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
         raise ConfigError("workers must be >= 1")
     for key in ("out", "cache_dir"):
         # Checked now, not when the first output is written after the calls.
-        path = Path(effective[key] or ".")
-        existing = next(place for place in (path, *path.parents) if place.exists())
+        existing = nearest_existing(Path(effective[key] or "."))
         if not existing.is_dir():
             raise ConfigError(f"{key} must be a directory, and {existing} is not one")
     return effective

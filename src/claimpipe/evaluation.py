@@ -48,13 +48,6 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-
-
 @dataclass
 class ConfusionCounts:
     tp_true: int = 0
@@ -82,12 +75,24 @@ class ConfusionCounts:
             "false": {"tp": self.tp_false, "fp": self.fp_false, "fn": self.fn_false},
         }
 
+    def scores(self) -> dict[str, dict[str, float]]:
+        """Each class's precision, recall and F1, as reported under
+        ``metrics.per_class``. Degenerate ratios (0/0) count as 0."""
+        out = {}
+        for name, block in self.per_class().items():
+            tp, fp, fn = block["tp"], block["fp"], block["fn"]
+            precision = tp / (tp + fp) if tp + fp else 0.0
+            recall = tp / (tp + fn) if tp + fn else 0.0
+            total = precision + recall
+            f1 = 2 * precision * recall / total if total else 0.0
+            out[name] = {"precision": precision, "recall": recall, "f1": f1}
+        return out
 
-def _prf(tp: int, fp: int, fn: int) -> ClassMetrics:
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return ClassMetrics(precision=precision, recall=recall, f1=f1)
+    @property
+    def macro_f1(self) -> float:
+        """Mean of the two classes' F1 scores, scaled to [0, 100]."""
+        scores = self.scores()
+        return 100.0 * (scores["true"]["f1"] + scores["false"]["f1"]) / 2.0
 
 
 def confusion(
@@ -104,14 +109,6 @@ def confusion(
     )
 
 
-def class_metrics(counts: ConfusionCounts) -> dict[str, ClassMetrics]:
-    return {name: _prf(**block) for name, block in counts.per_class().items()}
-
-
-def _macro_f1_of(metrics: dict[str, ClassMetrics]) -> float:
-    return 100.0 * (metrics["true"].f1 + metrics["false"].f1) / 2.0
-
-
 def macro_f1(predictions: list[Verdict], golds: list[Verdict]) -> float:
     """Mean of the True-class and False-class F1 scores, scaled to [0, 100].
 
@@ -119,7 +116,7 @@ def macro_f1(predictions: list[Verdict], golds: list[Verdict]) -> float:
     """
     if not predictions or len(predictions) != len(golds):
         raise ValueError("need equal-length, nonempty prediction and gold lists")
-    return _macro_f1_of(class_metrics(confusion(predictions, golds)))
+    return confusion(predictions, golds).macro_f1
 
 
 @dataclass
@@ -158,19 +155,15 @@ class EvalReport:
 
     @property
     def macro_f1(self) -> float:
-        return _macro_f1_of(class_metrics(self.counts))
+        return self.counts.macro_f1
 
     def to_dict(self, include_timing: bool = True) -> dict:
         counts = self.counts
-        metrics = class_metrics(counts)
         out = {
             "schema_version": SCHEMA_VERSION,
             "variant": self.variant.value,
             "config": self.config,
-            "metrics": {
-                "macro_f1": _macro_f1_of(metrics),
-                "per_class": {name: plain(m) for name, m in metrics.items()},
-            },
+            "metrics": {"macro_f1": counts.macro_f1, "per_class": counts.scores()},
             "counts": {
                 "claims": len(self.rows),
                 "errors": counts.error_count,
@@ -189,17 +182,15 @@ class EvalReport:
 
     def to_table(self) -> str:
         counts = self.counts
-        metrics = class_metrics(counts)
         lines = [
             f"{'class':<10} {'precision':>9} {'recall':>9} {'f1':>9}",
         ]
-        for name in ("true", "false"):
-            m = metrics[name]
+        for name, m in counts.scores().items():
             lines.append(
-                f"{name:<10} {100 * m.precision:>9.2f} "
-                f"{100 * m.recall:>9.2f} {100 * m.f1:>9.2f}"
+                f"{name:<10} {100 * m['precision']:>9.2f} "
+                f"{100 * m['recall']:>9.2f} {100 * m['f1']:>9.2f}"
             )
-        lines.append(f"{'macro_f1':<10} {_macro_f1_of(metrics):>29.2f}")
+        lines.append(f"{'macro_f1':<10} {counts.macro_f1:>29.2f}")
         lines.append(
             f"claims {len(self.rows)}  errors {counts.error_count}  "
             f"abstained_subclaims {counts.abstain_count}"
@@ -221,6 +212,11 @@ def _trace_path(out_dir: Path, claim_id: str) -> Path:
     return out_dir / f"{safe}.json"
 
 
+def nearest_existing(path: Path) -> Path:
+    """``path`` if it exists, else its nearest ancestor that does."""
+    return next(place for place in (path, *path.parents) if place.exists())
+
+
 def check_outputs(files: list[Path]) -> None:
     """Raise before a run's first call what writing ``files`` would raise
     after its last: a file path that is a directory is a ValueError, and a
@@ -228,8 +224,7 @@ def check_outputs(files: list[Path]) -> None:
     NotADirectoryError that making it would raise. Nothing is created, so
     an interrupted run leaves no directory for what it never reached."""
     for directory in dict.fromkeys(path.parent for path in files):
-        existing = next(place for place in (directory, *directory.parents)
-                        if place.exists())
+        existing = nearest_existing(directory)
         if not existing.is_dir():
             raise NotADirectoryError(
                 errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing)

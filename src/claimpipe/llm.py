@@ -195,16 +195,22 @@ def retry_delay(
     retry_after: str | None = None,
     cap: float = float("inf"),
 ) -> float:
-    """Seconds to wait before retry number ``retry`` (1-based).
+    """Seconds to wait before retry number ``retry`` (1-based), at most
+    ``cap``.
 
-    An integer ``retry_after`` (the header's delay-seconds form) wins, capped
-    at ``cap``. Otherwise the exponential backoff ``backoff_base * 2**(retry-1)``
-    scaled into [1/2, 1] by ``jitter`` in [0, 1], so that callers retrying
-    together spread out.
+    An integer ``retry_after`` (the header's delay-seconds form) wins.
+    Otherwise the exponential backoff ``backoff_base * 2**(retry-1)`` scaled
+    into [1/2, 1] by ``jitter`` in [0, 1], so that callers retrying together
+    spread out. A wait too long for a float is infinite before the cap.
     """
     if retry_after is not None and re.fullmatch(r"\s*[0-9]+\s*", retry_after):
-        return min(float(retry_after), cap)
-    return backoff_base * 2 ** (retry - 1) * (1.0 - jitter / 2.0)
+        delay = float(retry_after)
+    else:
+        try:
+            delay = math.ldexp(backoff_base * (1.0 - jitter / 2.0), retry - 1)
+        except OverflowError:
+            delay = math.inf
+    return min(delay, cap)
 
 
 def has_lone_surrogate(text: str) -> bool:
@@ -478,6 +484,22 @@ def _proxy_for(parts: SplitResult) -> SplitResult | None:
     return urlsplit(proxy if "://" in proxy else f"http://{proxy}")
 
 
+def _bearer(variable: str) -> dict[str, str]:
+    """The ``Authorization`` header for the API key in the environment
+    variable ``variable``; none when it is unset or empty. A key that
+    ``http.client`` cannot send, one holding a CR or LF or a character
+    outside Latin-1, is a ValueError that names the variable, not the key."""
+    key = os.environ.get(variable, "")
+    if not key:
+        return {}
+    if "\r" in key or "\n" in key or max(key) > "\xff":
+        raise ValueError(
+            f"the API key in ${variable} cannot be sent in an HTTP header: it "
+            "holds a CR or LF, or a character outside Latin-1"
+        )
+    return {"Authorization": f"Bearer {key}"}
+
+
 def _tls_context() -> ssl.SSLContext:
     """What https trusts: the CA bundle named by ``REQUESTS_CA_BUNDLE``, else
     by ``CURL_CA_BUNDLE`` (a file, or a directory of certificates), and
@@ -555,12 +577,13 @@ def _close_all(connections: list[http.client.HTTPConnection]) -> None:
 class CompletionClient:
     """Caching client over one configured backend. Thread-safe.
 
-    A scripted backend reads its script file. An https backend loads its CA
-    bundle (see ``_tls_context``), so a bundle that cannot be loaded fails
-    here, before any call. An HTTP backend keeps one kept-alive
-    ``http.client`` connection per calling thread, made on that thread's
-    first call (see ``_route_to``), so constructing a client opens no
-    connection. ``close`` closes them all, and so does collecting a client
+    A scripted backend reads its script file. An HTTP backend reads its API
+    key (see ``_bearer``), and an https one loads its CA bundle (see
+    ``_tls_context``), so a key that cannot be sent or a bundle that cannot
+    be loaded fails here, before any call. An HTTP backend keeps one
+    kept-alive ``http.client`` connection per calling thread, made on that
+    thread's first call (see ``_route_to``), so constructing a client opens
+    no connection. ``close`` closes them all, and so does collecting a client
     that was never closed.
     """
 
@@ -569,10 +592,13 @@ class CompletionClient:
         self.cache = cache
         self.script = None
         self._tls = None
+        self._auth = {}
         if backend.kind is BackendKind.SCRIPTED:
             self.script = Script.load(backend.script_path)
-        elif urlsplit(backend.endpoint_url).scheme == "https":
-            self._tls = _tls_context()
+        else:
+            self._auth = _bearer(backend.api_key_env)
+            if urlsplit(backend.endpoint_url).scheme == "https":
+                self._tls = _tls_context()
         self._lock = threading.Lock()
         self._local = threading.local()
         self._connections: list[http.client.HTTPConnection] = []
@@ -595,6 +621,8 @@ class CompletionClient:
         """This thread's connection, request target and headers. They are
         made from the environment at the thread's first call, which reads
         the proxy and netrc settings once, and then stops consulting them.
+        The API key, read when the client was built, wins over netrc
+        credentials.
         A setting that no route can be made from, such as a proxy port out
         of range, is a TransportError."""
         route = getattr(self._local, "route", None)
@@ -606,6 +634,7 @@ class CompletionClient:
                 raise TransportError(
                     f"cannot route a request to {public_endpoint(url)}: {exc}"
                 ) from exc
+            route[2].update(self._auth)
             with self._lock:
                 if self._finalizer is None:
                     # Closes the connections of a client collected unclosed.
@@ -679,10 +708,6 @@ class CompletionClient:
             }
         ).encode()
         connection, target, headers = self._route()
-        api_key = os.environ.get(self.backend.api_key_env, "")
-        if api_key:
-            # A configured key wins over netrc credentials.
-            headers = {**headers, "Authorization": f"Bearer {api_key}"}
         last_error = "no attempt made"
         retry_after = None
         for attempt in range(self.backend.max_retries + 1):

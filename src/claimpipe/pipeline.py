@@ -35,7 +35,9 @@ from .llm import (
     ResponseCache,
     public_endpoint,
 )
-from .prompts import MIN_SUMMARY_KEYWORDS, PromptLibrary, format_evidence_block
+from .prompts import (
+    MIN_SUMMARY_KEYWORDS, PromptLibrary, PromptTask, format_evidence_block
+)
 
 SCHEMA_VERSION = 1
 
@@ -212,26 +214,29 @@ class PipelineConfig:
 class StagePlan:
     """What one pipeline variant runs.
 
-    ``abstraction`` is ``"keyword"`` (extract keywords, select them per piece
-    and summarize each piece under its keywords), ``"claim"`` (summarize each
-    piece under the claim) or None (no abstraction). ``select`` applies the
-    t1/t2 thresholds; without it selection runs with thresholds of
-    ``-math.inf``, so every keyword reaches every piece with its scores.
+    ``abstraction`` is the task that summarizes each piece:
+    EVIDENCE_SUMMARIZATION (extract keywords, select them per piece and
+    summarize each piece under its keywords), CLAIM_GUIDED_SUMMARIZATION
+    (summarize each piece under the claim) or None (no abstraction).
+    ``select`` applies the t1/t2 thresholds; without it selection runs with
+    thresholds of ``-math.inf``, so every keyword reaches every piece with
+    its scores.
     """
 
-    abstraction: str | None
+    abstraction: PromptTask | None
     select: bool = True
     deconstruct: bool = True
     raw_evidence: bool = True
 
 
+_KEYWORD_GUIDED = PromptTask.EVIDENCE_SUMMARIZATION
 PLANS: dict[Ablation, StagePlan] = {
-    Ablation.NONE: StagePlan("keyword"),
-    Ablation.NO_CLAIM_DECONSTRUCTION: StagePlan("keyword", deconstruct=False),
+    Ablation.NONE: StagePlan(_KEYWORD_GUIDED),
+    Ablation.NO_CLAIM_DECONSTRUCTION: StagePlan(_KEYWORD_GUIDED, deconstruct=False),
     Ablation.NO_EVIDENCE_ABSTRACTION: StagePlan(None),
-    Ablation.NO_KEYWORD_GUIDANCE: StagePlan("claim"),
-    Ablation.NO_KEYWORD_SELECTION: StagePlan("keyword", select=False),
-    Ablation.NO_RAW_EVIDENCE: StagePlan("keyword", raw_evidence=False),
+    Ablation.NO_KEYWORD_GUIDANCE: StagePlan(PromptTask.CLAIM_GUIDED_SUMMARIZATION),
+    Ablation.NO_KEYWORD_SELECTION: StagePlan(_KEYWORD_GUIDED, select=False),
+    Ablation.NO_RAW_EVIDENCE: StagePlan(_KEYWORD_GUIDED, raw_evidence=False),
 }
 
 
@@ -283,7 +288,8 @@ def parse_keyword_list(completion: str) -> list[str]:
         out.append(item)
     if not out:
         raise PipelineError(
-            "keyword extraction produced no keywords", stage="keyword_extraction"
+            "keyword extraction produced no keywords",
+            stage=PromptTask.KEYWORD_EXTRACTION.value,
         )
     return out
 
@@ -302,7 +308,7 @@ def parse_subclaims(completion: str) -> list[Subclaim]:
     if not text:
         raise PipelineError(
             "claim deconstruction returned an empty completion",
-            stage="claim_deconstruction",
+            stage=PromptTask.CLAIM_DECONSTRUCTION.value,
         )
     markers = list(_MARKER_RE.finditer(text))
     if not markers:
@@ -316,7 +322,8 @@ def parse_subclaims(completion: str) -> list[Subclaim]:
             pieces.append((int(match.group(1)), body))
     if not pieces:
         raise PipelineError(
-            "no subclaim text found after markers", stage="claim_deconstruction"
+            "no subclaim text found after markers",
+            stage=PromptTask.CLAIM_DECONSTRUCTION.value,
         )
     pieces.sort(key=lambda p: p[0])
     return [Subclaim(index=i, text=body) for i, (_, body) in enumerate(pieces, start=1)]
@@ -338,10 +345,6 @@ def parse_verdict_answer(completion: str) -> tuple[Verdict, bool]:
     return verdict, False
 
 
-def _no_overlap(keyword_norm: str, evidence_norm: str) -> float:
-    return 0.0
-
-
 def select_keywords(
     keywords: list[str] | tuple[str, ...],
     evidence_text: str,
@@ -358,15 +361,13 @@ def select_keywords(
     to nothing shares nothing with any keyword: each scores 0 on both, so no
     threshold in [0, 100] keeps it."""
     evidence_norm = fuzzy.preprocess(evidence_text).normalized
-    if evidence_norm:
-        partial_ratio, token_set_ratio = fuzzy.partial_ratio, fuzzy.token_set_ratio
-    else:
-        partial_ratio = token_set_ratio = _no_overlap
     selected = []
     for keyword in keywords:
         keyword_norm = fuzzy.preprocess(keyword).normalized
-        partial_score = partial_ratio(keyword_norm, evidence_norm)
-        token_set_score = token_set_ratio(keyword_norm, evidence_norm)
+        partial_score = token_set_score = 0.0
+        if evidence_norm:
+            partial_score = fuzzy.partial_ratio(keyword_norm, evidence_norm)
+            token_set_score = fuzzy.token_set_ratio(keyword_norm, evidence_norm)
         if partial_score > t1 or token_set_score > t2:
             selected.append(SelectedKeyword(keyword, partial_score, token_set_score))
     return KeywordSet(evidence_index=evidence_index, selected=tuple(selected))
@@ -385,25 +386,25 @@ def aggregate(results: list[SubclaimResult] | tuple[SubclaimResult, ...]) -> Ver
 Call = Callable[[], object]
 
 
-# A claim's trace keys each entry by (its stage's rank, piece or subclaim
-# index), and lists the entries sorted by key.
-TRACE_RANKS = {
-    "keyword_extraction": 0,
-    "evidence_summarization": 1,
-    "claim_guided_summarization": 1,
-    "claim_deconstruction": 2,
-    "subclaim_verification": 3,
-}
-
+# A claim's trace keys each entry by (its task's rank in PromptTask order,
+# piece or subclaim index), and lists the entries sorted by key.
 Trace = dict[tuple[int, int], TraceEntry]
+_RANKS = {task: rank for rank, task in enumerate(PromptTask)}
+# The tasks the verification client serves; the abstraction client serves
+# the rest.
+_VERIFICATION_TASKS = frozenset(
+    {PromptTask.CLAIM_DECONSTRUCTION, PromptTask.SUBCLAIM_VERIFICATION}
+)
 
 
 class ClaimVerifier:
     """Runs the pipeline for one configuration.
 
-    Keyword extraction and evidence summarization go to the abstraction
-    client; deconstruction and subclaim verification go to the verification
-    client. Stateless between claims, so one instance serves many threads.
+    Each stage method makes one call of its PromptTask through ``_call``,
+    which picks the client: deconstruction and subclaim verification go to
+    the verification client, keyword extraction and both summarizations to
+    the abstraction client. Stateless between claims, so one instance serves
+    many threads.
 
     A claim runs in three phases: keyword extraction and selection; the
     summaries alongside the deconstruction; the subclaim verifications.
@@ -415,8 +416,6 @@ class ClaimVerifier:
     verification itself as it reads them, while the pool makes the rest.
     Either way results are read in canonical order, so the first failure in
     that order is the one raised.
-    Each stage method makes its model call through ``_call``, the one place
-    where a call's failure gets its stage.
     """
 
     def __init__(
@@ -434,30 +433,27 @@ class ClaimVerifier:
         self.executor = executor
 
     def _call(
-        self,
-        client: CompletionClient,
-        stage: str,
-        render: Callable[[], str],
-        trace: Trace,
-        index: int = 0,
+        self, task: PromptTask, render: Callable[[], str], trace: Trace, index: int = 0
     ) -> TraceEntry:
-        """Render this call's prompt, complete it and store its entry at its
-        place in ``trace``. The calls of a claim store distinct places, from
-        any thread. A failure of either step is raised as a PipelineError
-        that names ``stage`` and is caused by the original error."""
+        """Render a prompt of ``task``, complete it on the task's client and
+        store its entry, staged under the task's name, in ``trace`` at (the
+        task's rank, ``index``), the piece or subclaim index. The calls of a
+        claim store distinct places, from any thread. A failure of either
+        step is raised as a PipelineError that names the task's stage and is
+        caused by the original error."""
+        verifies = task in _VERIFICATION_TASKS
+        client = self.verification_client if verifies else self.abstraction_client
         try:
             response = client.complete_prompt(render())
         except Exception as exc:
-            raise PipelineError(str(exc), stage=stage) from exc
-        entry = TraceEntry(
-            stage=stage, prompt_sha256=response.prompt_sha256, response=response.text
-        )
-        trace[TRACE_RANKS[stage], index] = entry
+            raise PipelineError(str(exc), stage=task.value) from exc
+        entry = TraceEntry(task.value, response.prompt_sha256, response.text)
+        trace[_RANKS[task], index] = entry
         return entry
 
     def extract_keywords(self, claim: str, trace: Trace) -> list[str]:
         render = partial(self.prompts.render_keyword_extraction, claim)
-        entry = self._call(self.abstraction_client, "keyword_extraction", render, trace)
+        entry = self._call(PromptTask.KEYWORD_EXTRACTION, render, trace)
         return parse_keyword_list(entry.response)
 
     def abstract_evidence(
@@ -475,9 +471,7 @@ class ClaimVerifier:
             self.prompts.render_evidence_summarization, evidence.text, keywords
         )
         index = keyword_set.evidence_index
-        entry = self._call(
-            self.abstraction_client, "evidence_summarization", render, trace, index
-        )
+        entry = self._call(PromptTask.EVIDENCE_SUMMARIZATION, render, trace, index)
         return AbstractedEvidence(
             source_index=index, text=entry.response.strip(), keywords=keywords
         )
@@ -488,40 +482,31 @@ class ClaimVerifier:
         render = partial(
             self.prompts.render_claim_guided_summarization, evidence.text, claim
         )
-        stage = "claim_guided_summarization"
-        entry = self._call(self.abstraction_client, stage, render, trace, source_index)
+        task = PromptTask.CLAIM_GUIDED_SUMMARIZATION
+        entry = self._call(task, render, trace, source_index)
         return AbstractedEvidence(
             source_index=source_index, text=entry.response.strip(), keywords=()
         )
 
     def deconstruct_claim(self, claim: str, trace: Trace) -> list[Subclaim]:
         render = partial(self.prompts.render_claim_deconstruction, claim)
-        entry = self._call(
-            self.verification_client, "claim_deconstruction", render, trace
-        )
+        entry = self._call(PromptTask.CLAIM_DECONSTRUCTION, render, trace)
         return parse_subclaims(entry.response)
 
     def verify_subclaim(
-        self,
-        subclaim: Subclaim,
-        abstracted: list[AbstractedEvidence],
-        raw: list[EvidencePiece],
-        claim: str,
-        trace: Trace,
+        self, subclaim: Subclaim, evidence_block: str, claim: str, trace: Trace
     ) -> SubclaimResult:
-        def render() -> str:
-            block = format_evidence_block(
-                [a.text for a in abstracted], [e.text for e in raw]
-            )
-            return self.prompts.render_subclaim_verification(
-                block,
-                subclaim.text,
-                claim=claim,
-                with_context=self.config.with_claim_context,
-            )
-
-        stage, index = "subclaim_verification", subclaim.index
-        entry = self._call(self.verification_client, stage, render, trace, index)
+        """Ask whether ``evidence_block``, the claim's evidence formatted
+        once for all its subclaims, supports ``subclaim``."""
+        render = partial(
+            self.prompts.render_subclaim_verification,
+            evidence_block,
+            subclaim.text,
+            claim=claim,
+            with_context=self.config.with_claim_context,
+        )
+        task = PromptTask.SUBCLAIM_VERIFICATION
+        entry = self._call(task, render, trace, subclaim.index)
         verdict, abstained = parse_verdict_answer(entry.response)
         return SubclaimResult(
             subclaim=subclaim,
@@ -567,7 +552,7 @@ class ClaimVerifier:
             )
 
             calls: list[Call] = []
-            if plan.abstraction == "keyword":
+            if plan.abstraction is PromptTask.EVIDENCE_SUMMARIZATION:
                 keywords = self.extract_keywords(claim, trace)
                 t1, t2 = (
                     (self.config.t1, self.config.t2)
@@ -583,7 +568,7 @@ class ClaimVerifier:
                     partial(abstract, piece, keyword_set)
                     for piece, keyword_set in zip(instance.evidence, keyword_sets)
                 ]
-            elif plan.abstraction == "claim":
+            elif plan.abstraction is PromptTask.CLAIM_GUIDED_SUMMARIZATION:
                 summarize = partial(self.summarize_with_claim, claim=claim, trace=trace)
                 calls = [
                     partial(summarize, piece, source_index=index)
@@ -603,11 +588,12 @@ class ClaimVerifier:
                 raise PipelineError(
                     "no evidence to verify against: no piece was summarized "
                     "under no-raw",
-                    stage="subclaim_verification",
+                    stage=PromptTask.SUBCLAIM_VERIFICATION.value,
                 )
-            verify = partial(
-                self.verify_subclaim, abstracted=abstracted, raw=raw, claim=claim
+            block = format_evidence_block(
+                [a.text for a in abstracted], [e.text for e in raw]
             )
+            verify = partial(self.verify_subclaim, evidence_block=block, claim=claim)
             calls = [partial(verify, subclaim, trace=trace) for subclaim in subclaims]
             short_circuit = self.config.short_circuit
             if not short_circuit:

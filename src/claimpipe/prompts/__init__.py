@@ -28,6 +28,10 @@ class PromptError(ValueError):
 
 
 class PromptTask(str, Enum):
+    """The pipeline's prompted stages, each named by its value. Declaration
+    order is the trace order: a claim's trace lists its entries by task in
+    this order, then by piece or subclaim index."""
+
     KEYWORD_EXTRACTION = "keyword_extraction"
     EVIDENCE_SUMMARIZATION = "evidence_summarization"
     CLAIM_GUIDED_SUMMARIZATION = "claim_guided_summarization"

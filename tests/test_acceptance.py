@@ -80,6 +80,24 @@ def test_fuzzy_matches_brute_force_oracles_on_seeded_corpus(capsys):
             assert token_set_ratio(a, b) == oracles.token_set_ratio_oracle(a, b)
 
 
+def test_fuzzy_matches_rolling_oracles_on_prose(capsys):
+    with passline(capsys, "fuzzy scores match rolling-row oracles on 200 prose pairs"):
+        script = PACKAGE_ROOT / "scripts" / "replay_selection.py"
+        prose_calls = runpy.run_path(str(script))["prose_calls"]
+        # Keyword-piece pairs in the order select_keywords meets them.
+        pairs = (
+            (keyword, piece)
+            for keywords, pieces in prose_calls(7)
+            for piece in pieces
+            for keyword in keywords
+        )
+        indel = oracles.indel_rolling_oracle
+        for keyword, piece in itertools.islice(pairs, 200):
+            a, b = preprocess(keyword).normalized, preprocess(piece).normalized
+            assert partial_ratio(a, b) == oracles.partial_ratio_oracle(a, b, indel)
+            assert token_set_ratio(a, b) == oracles.token_set_ratio_oracle(a, b, indel)
+
+
 def test_fuzzy_invariants_hold_on_seeded_corpus(capsys):
     with passline(capsys, "fuzzy invariants hold on 500+ random cases each"):
         rng = random.Random(SEED + 1)

@@ -1543,6 +1543,34 @@ class TestRouteFaults:
         assert (chat.connections, chat.requests) == (0, 0)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key",
+        ["sk-line1\nline2", "sk-line1\r\nline2", "sk-\u20ac", "sk-\udcff"],
+        ids=["lf", "crlf", "beyond-latin-1", "not-utf-8"],
+    )
+    def test_an_api_key_that_cannot_be_sent_is_a_config_error(
+        self, monkeypatch, tmp_path, capsys, key
+    ):
+        monkeypatch.setenv("LLM_API_KEY", key)
+        with serve() as chat:
+            code = main(
+                [
+                    "eval",
+                    "--data-path", str(tiny_dataset_file(tmp_path)),
+                    "--backend", "http",
+                    "--endpoint", chat.url,
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path / "out"),
+                ]
+            )
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        (error,) = [line for line in lines if "error" in line]
+        assert error.startswith("config error: the API key in $LLM_API_KEY")
+        assert "sk-" not in error
+        assert chat.requests == 0
+        assert not (tmp_path / "out").exists()
+
     def test_a_proxy_no_route_can_be_made_to_is_an_outage(
         self, monkeypatch, tmp_path, capsys
     ):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import string
 import subprocess
@@ -11,6 +12,7 @@ import threading
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from urllib.parse import urlsplit
 
 import pytest
@@ -954,6 +956,33 @@ class TestRetryDelay:
         assert retry_delay(3, 0.5, jitter=0.0) == 2.0
         assert retry_delay(3, 0.5, jitter=0.5) == 1.5
         assert retry_delay(3, 0.5, jitter=1.0) == 1.0
+
+    def test_the_backoff_is_capped_too(self):
+        # A backoff_base of 1e6 with a request_timeout of 1 s waits 1 s.
+        assert retry_delay(1, 1e6, jitter=0.0, cap=1.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "base, cap, expected",
+        [(0.0, math.inf, 0.0), (1.0, 2.0, 2.0), (1.0, math.inf, math.inf)],
+    )
+    def test_a_late_retry_does_not_overflow(self, base, cap, expected):
+        # 2**1999 is beyond any float.
+        assert retry_delay(2000, base, jitter=0.5, cap=cap) == expected
+
+    def test_a_backoff_past_any_clock_waits_request_timeout(
+        self, chat_server, monkeypatch
+    ):
+        # Without the cap, time.sleep(1e10) raises OverflowError here.
+        waits = []
+        monkeypatch.setattr(llm, "time", SimpleNamespace(sleep=waits.append))
+        chat_server.replies = [Reply(503, {}), Reply()]
+        backend = http_backend(chat_server, backoff_base=1e10, request_timeout=1.0)
+        client = CompletionClient(backend)
+        try:
+            assert client.complete_prompt("x").text == "ok"
+        finally:
+            client.close()
+        assert waits == [1.0]
 
 
 class TestRetryAfterOverHttp:
