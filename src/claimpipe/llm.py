@@ -82,9 +82,14 @@ def _address(parts: SplitResult) -> tuple[str | None, int]:
     return parts.hostname, parts.port or (443 if parts.scheme == "https" else 80)
 
 
+# The characters ``http.client`` sends in a request target: printable ASCII.
+_TARGET_RE = re.compile(r"[\x21-\x7e]*")
+
+
 def _is_http_url(url: str) -> bool:
     """Whether ``url`` is an http(s) URL with a host that can be connected
-    to and no "@" after it.
+    to, no "@" after it, and a request target and credentials that can be
+    sent.
 
     A "/", "?" or "#" in a password ends the authority early, so urlsplit
     would read the user as the host and the password's start as the port,
@@ -92,7 +97,10 @@ def _is_http_url(url: str) -> bool:
     in the path, query or fragment. The host must encode as IDNA, as the
     socket encodes it, and pass the check ``http.client.HTTPConnection``
     makes when it is constructed, which refuses a space or a control
-    character; constructing one does not connect.
+    character; constructing one does not connect. The path and query go
+    out as the request target, which must be printable ASCII, and the
+    percent-decoded user and password as ``Basic`` authorization, which
+    must encode as Latin-1 (see ``_route_to``).
     """
     try:
         parts = urlsplit(url)
@@ -100,12 +108,15 @@ def _is_http_url(url: str) -> bool:
         if parts.hostname:
             parts.hostname.encode("idna")
             http.client.HTTPConnection(*_address(parts))
-    except (ValueError, http.client.InvalidURL):
+        if parts.username is not None:
+            _basic_auth(unquote(parts.username), unquote(parts.password or ""))
+    except (ValueError, http.client.InvalidURL):  # UnicodeError is a ValueError
         return False
     return (
         parts.scheme in ("http", "https")
         and bool(parts.hostname)
         and "@" not in parts.path + parts.query + parts.fragment
+        and _TARGET_RE.fullmatch(parts.path + parts.query) is not None
     )
 
 
@@ -144,8 +155,10 @@ class BackendConfig:
         if self.kind is BackendKind.HTTP_CHAT and not _is_http_url(self.endpoint_url):
             raise ValueError(
                 "http backend requires an endpoint: an http or https URL with a "
-                "host (IDNA text, no space or control character) and no '@' "
-                "after it (percent-encode a '/' or '@' in a password), got "
+                "host (IDNA text, no space or control character), no '@' after "
+                "it (percent-encode a '/' or '@' in a password), credentials "
+                "that decode to Latin-1 and a path and query of printable "
+                "ASCII (percent-encode any other character), got "
                 f"{public_endpoint(self.endpoint_url)!r}"
             )
         if self.kind is BackendKind.SCRIPTED and not self.script_path:
@@ -159,10 +172,11 @@ class BackendConfig:
             )
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
-        if not 0 < self.request_timeout < math.inf:
+        # The longest wait a socket or a lock takes; NaN fails this too.
+        if not 0 < self.request_timeout <= threading.TIMEOUT_MAX:
             raise ValueError(
-                "request_timeout must be finite and positive, "
-                f"not {self.request_timeout}"
+                f"request_timeout must be positive and at most "
+                f"{threading.TIMEOUT_MAX}, not {self.request_timeout}"
             )
         if not 0 <= self.backoff_base < math.inf:
             raise ValueError(
@@ -215,8 +229,9 @@ def retry_delay(
 
 def has_lone_surrogate(text: str) -> bool:
     """Whether ``text`` holds a lone surrogate, and so cannot be hashed,
-    cached or sent. Data and evidence files, scripts, few-shot examples,
-    text options and HTTP completions are each checked with this.
+    cached or sent. Data and evidence files, scripts, text options and HTTP
+    completions are each checked with this; prompt templates are read as
+    strict UTF-8, which refuses one.
 
     Python text holds a UTF-16 surrogate only alone: from a JSON ``\\udXXX``
     escape that is not half of a pair, or from an argument byte that is not

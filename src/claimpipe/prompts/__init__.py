@@ -2,18 +2,15 @@
 
 Templates are plain text files with ``{{slot}}`` markers. Slot substitution is
 a single pass, so slot values containing brace sequences are never re-expanded.
-Few-shot example sets live in ``examples.json`` next to the templates; the
+Each generation template holds its own few-shot examples as literal text; the
 subclaim verification template is zero-shot and carries no examples.
 """
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-
-from ..llm import has_lone_surrogate
 
 _SLOT_RE = re.compile(r"\{\{([a-z_]+)\}\}")
 
@@ -39,10 +36,7 @@ class PromptTask(str, Enum):
     SUBCLAIM_VERIFICATION = "subclaim_verification"
 
 
-_TASK_NAMES = frozenset(task.value for task in PromptTask)
-
-# The slots each task's renderer fills. Its template may also hold
-# ``{{examples}}``, filled from the task's few-shot examples.
+# The slots each task's renderer fills.
 _RENDERED_SLOTS = {
     PromptTask.KEYWORD_EXTRACTION: {"claim"},
     PromptTask.EVIDENCE_SUMMARIZATION: {"evidence", "keywords"},
@@ -50,19 +44,6 @@ _RENDERED_SLOTS = {
     PromptTask.CLAIM_DECONSTRUCTION: {"claim"},
     PromptTask.SUBCLAIM_VERIFICATION: {"evidence", "claim_context", "subclaim"},
 }
-
-
-@dataclass(frozen=True)
-class FewShotExample:
-    """One worked example: labeled input fields plus the expected output."""
-
-    input_fields: tuple[tuple[str, str], ...]
-    output: str
-
-    def render(self) -> str:
-        lines = [f"{label}: {value}" for label, value in self.input_fields]
-        lines.append(f"Output: {self.output}")
-        return "\n".join(lines)
 
 
 def format_keyword_list(keywords: list[str] | tuple[str, ...]) -> str:
@@ -84,68 +65,20 @@ def format_evidence_block(abstracted: list[str], raw: list[str]) -> str:
 class PromptTemplate:
     task: PromptTask
     body: str
-    examples: list[FewShotExample] = field(default_factory=list)
 
     def slots(self) -> frozenset[str]:
         return frozenset(_SLOT_RE.findall(self.body))
 
     def render(self, **values: str) -> str:
         """Fill every slot; unknown or missing slot names raise PromptError."""
-        filled = dict(values)
         needed = self.slots()
-        if "examples" in needed and "examples" not in filled:
-            filled["examples"] = "\n".join(ex.render() for ex in self.examples)
-        extra = set(filled) - needed
+        extra = set(values) - needed
         if extra:
             raise PromptError(f"{self.task.value}: unknown slots {sorted(extra)}")
-        missing = needed - set(filled)
+        missing = needed - set(values)
         if missing:
             raise PromptError(f"{self.task.value}: missing slots {sorted(missing)}")
-        return _SLOT_RE.sub(lambda m: filled[m.group(1)], self.body)
-
-
-def _is_example(record: object) -> bool:
-    return (
-        isinstance(record, dict)
-        and record.keys() == {"input_fields", "output"}
-        and isinstance(record["output"], str)
-        and isinstance(record["input_fields"], dict)
-        and all(isinstance(value, str) for value in record["input_fields"].values())
-    )
-
-
-def _load_examples(path: Path) -> dict[str, list[FewShotExample]]:
-    """Example lists by task name. A misspelt task or a malformed entry is a
-    PromptError, so that no task's examples are silently dropped; so is an
-    entry holding a lone surrogate, which would fail every prompt it is in."""
-    if not path.is_file():
-        raise PromptError(f"{path}: not a regular file")
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise PromptError(f"{path}: expected an object of example lists by task")
-    out: dict[str, list[FewShotExample]] = {}
-    for task_name, records in data.items():
-        if task_name not in _TASK_NAMES:
-            raise PromptError(f"{path}: unknown task {task_name!r}")
-        if not isinstance(records, list):
-            raise PromptError(f"{path}: {task_name} must be a list of examples")
-        examples = out[task_name] = []
-        for index, record in enumerate(records):
-            if not _is_example(record):
-                raise PromptError(
-                    f"{path}: {task_name} example {index} must be "
-                    '{"input_fields": {str: str}, "output": str}'
-                )
-            example = FewShotExample(
-                tuple(record["input_fields"].items()), record["output"]
-            )
-            if has_lone_surrogate(example.render()):
-                raise PromptError(
-                    f"{path}: {task_name} example {index} holds a lone surrogate"
-                )
-            examples.append(example)
-    return out
+        return _SLOT_RE.sub(lambda m: values[m.group(1)], self.body)
 
 
 @dataclass
@@ -160,23 +93,23 @@ class PromptLibrary:
         base = Path(directory) if directory is not None else _DEFAULT_DIR
         if not base.is_dir():
             raise PromptError(f"prompt directory not found: {base}")
-        examples_path = base / "examples.json"
-        examples = _load_examples(examples_path) if examples_path.exists() else {}
         templates: dict[PromptTask, PromptTemplate] = {}
         for task in PromptTask:
             path = base / f"{task.value}.txt"
             if not path.is_file():
                 raise PromptError(f"missing template file: no regular file at {path}")
-            body = path.read_text(encoding="utf-8").rstrip("\n")
-            template = templates[task] = PromptTemplate(
-                task=task, body=body, examples=examples.get(task.value, [])
-            )
+            try:
+                # Strict UTF-8 also keeps a lone surrogate out of every prompt.
+                body = path.read_text(encoding="utf-8").rstrip("\n")
+            except UnicodeDecodeError as exc:
+                raise PromptError(f"{path}: not UTF-8 text: {exc}") from None
+            template = templates[task] = PromptTemplate(task=task, body=body)
             # Checked now: a template with other slots would fail every render.
-            found, expected = template.slots() - {"examples"}, _RENDERED_SLOTS[task]
+            found, expected = template.slots(), _RENDERED_SLOTS[task]
             if found != expected:
                 raise PromptError(
-                    f"{path}: expected the slots {sorted(expected)} and optionally "
-                    f"'examples'; unknown {sorted(found - expected)}, "
+                    f"{path}: expected the slots {sorted(expected)}; "
+                    f"unknown {sorted(found - expected)}, "
                     f"missing {sorted(expected - found)}"
                 )
         return cls(templates=templates, directory=base)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import shutil
+import threading
 
 import pytest
 
@@ -1110,45 +1112,8 @@ class TestMalformedScript:
         assert "script entry 0" in err
 
 
-class TestMalformedExamples:
-    @pytest.mark.parametrize(
-        "examples, named",
-        [
-            ({"keyword_extraction": [{"output": "x"}]}, "keyword_extraction example 0"),
-            ({"keyword_extraction": [["Input", "x"]]}, "keyword_extraction example 0"),
-            (
-                {"claim_deconstruction": [{"input_fields": ["x"], "output": "x"}]},
-                "claim_deconstruction example 0",
-            ),
-            ({"keyword_extraction": {"output": "x"}}, "keyword_extraction"),
-            ({"keyword_extration": []}, "keyword_extration"),
-        ],
-        ids=["no-input-fields", "list-entry", "list-fields", "object-list", "misspelt"],
-    )
-    def test_rejected_at_start_up(self, six_bundle, tmp_path, capsys, examples, named):
-        packaged = cli.PromptLibrary.load().directory
-        prompts_dir = tmp_path / "prompts"
-        skip = shutil.ignore_patterns("*.py", "__pycache__")
-        shutil.copytree(packaged, prompts_dir, ignore=skip)
-        write_json(prompts_dir / "examples.json", examples)
-        code = main(
-            [
-                "eval",
-                "--data-path", str(six_bundle.dataset_path),
-                "--prompts-dir", str(prompts_dir),
-                *scripted_args(six_bundle.script_path, tmp_path / "cache"),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "config error" in err
-        assert named in err
-        assert not (tmp_path / "cache").exists()
-
-
 class TestRejectedBeforeAnyCall:
-    # A template holds exactly the slots its renderer fills; ``{{examples}}``
-    # is optional.
+    # A template holds exactly the slots its renderer fills.
     @pytest.mark.parametrize(
         "old, new, named",
         [
@@ -1184,6 +1149,51 @@ class TestRejectedBeforeAnyCall:
         assert f"config error: {template}" in err
         assert named in err
         assert not (tmp_path / "out").exists()
+
+    def test_a_template_with_an_examples_slot(self, tmp_path, capsys):
+        # The layout that kept the examples in an examples.json beside the
+        # templates, filled into each one's ``{{examples}}`` slot.
+        prompts_dir = tmp_path / "prompts"
+        skip = shutil.ignore_patterns("*.py", "__pycache__")
+        shutil.copytree(cli.PromptLibrary.load().directory, prompts_dir, ignore=skip)
+        examples = {}
+        for template in sorted(prompts_dir.glob("*.txt")):
+            lines = template.read_text(encoding="utf-8").splitlines()
+            if "Examples:" not in lines:
+                continue
+            start = lines.index("Examples:") + 1
+            outputs = [i for i, line in enumerate(lines) if line.startswith("Output: ")]
+            records, fields = [], {}
+            for line in lines[start : outputs[-1] + 1]:
+                label, _, value = line.partition(": ")
+                if label == "Output":
+                    records.append({"input_fields": fields, "output": value})
+                    fields = {}
+                else:
+                    fields[label] = value
+            examples[template.stem] = records
+            lines[start : outputs[-1] + 1] = ["{{examples}}"]
+            template.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_json(prompts_dir / "examples.json", examples)
+        with serve() as chat:
+            code = main(
+                [
+                    "eval",
+                    "--data-path", str(tiny_dataset_file(tmp_path)),
+                    "--prompts-dir", str(prompts_dir),
+                    "--backend", "http",
+                    "--endpoint", chat.url,
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path / "out"),
+                ]
+            )
+        assert code == 2
+        (error,) = capsys.readouterr().err.splitlines()
+        template = prompts_dir / "keyword_extraction.txt"
+        assert error.startswith(f"config error: {template}")
+        assert "unknown ['examples']" in error
+        assert chat.requests == 0
+        assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
     @pytest.mark.parametrize(
@@ -1302,24 +1312,14 @@ class TestLoneSurrogates:
         assert not ResponseCache(tmp_path / "cache").files()
 
     @pytest.mark.parametrize(
-        "example",
-        [
-            {"input_fields": {"Claim": "A."}, "output": "half \ud800"},
-            {"input_fields": {"Claim": "half \udbff"}, "output": "a."},
-            {"input_fields": {"Cl\udc00im": "A."}, "output": "a."},
-        ],
-        ids=["output", "field-value", "field-label"],
+        "bad", [b"\xed\xa0\x80", b"\xff"], ids=["encoded-surrogate", "stray-byte"]
     )
-    def test_an_examples_string(self, six_bundle, tmp_path, capsys, example):
-        packaged = cli.PromptLibrary.load().directory
+    def test_a_template_that_is_not_utf8(self, six_bundle, tmp_path, capsys, bad):
         prompts_dir = tmp_path / "prompts"
         skip = shutil.ignore_patterns("*.py", "__pycache__")
-        shutil.copytree(packaged, prompts_dir, ignore=skip)
-        examples = {"keyword_extraction": [{"input_fields": {"Claim": "B."},
-                                            "output": "b."}, example]}
-        (prompts_dir / "examples.json").write_text(
-            json.dumps(examples), encoding="ascii"
-        )
+        shutil.copytree(cli.PromptLibrary.load().directory, prompts_dir, ignore=skip)
+        template = prompts_dir / "claim_deconstruction.txt"
+        template.write_bytes(b"Half " + bad + b" " + template.read_bytes())
         code = main(
             [
                 "eval",
@@ -1329,8 +1329,8 @@ class TestLoneSurrogates:
             ]
         )
         assert code == 2
-        err = capsys.readouterr().err
-        assert "keyword_extraction example 1 holds a lone surrogate" in err
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error.startswith(f"config error: {template}: not UTF-8 text")
         assert not (tmp_path / "cache").exists()
 
     def test_a_claim_argument_that_is_not_utf8(self, tmp_path, capsys):
@@ -1412,6 +1412,33 @@ class TestNonFiniteSettings:
         err = capsys.readouterr().err
         assert "config error" in err
         assert key in err
+        assert chat.requests == 0
+        assert not (tmp_path / "out").exists()
+
+
+class TestRequestTimeoutPastAnySocket:
+    @pytest.mark.parametrize(
+        "value",
+        [1e10, math.nextafter(threading.TIMEOUT_MAX, math.inf)],
+        ids=["1e10", "past-timeout-max"],
+    )
+    def test_rejected_before_any_request(self, tmp_path, capsys, value):
+        config = write_json(tmp_path / "c.json", {"request_timeout": value})
+        with serve() as chat:
+            code = main(
+                [
+                    "eval",
+                    "--data-path", str(tiny_dataset_file(tmp_path)),
+                    "--backend", "http",
+                    "--endpoint", chat.url,
+                    "--config", str(config),
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path / "out"),
+                ]
+            )
+        assert code == 2
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error.startswith("config error:") and "request_timeout" in error
         assert chat.requests == 0
         assert not (tmp_path / "out").exists()
 
@@ -1502,6 +1529,47 @@ class TestHostsThatHttpClientRefuses:
         lines = capsys.readouterr().err.splitlines()
         (error,) = [line for line in lines if "error" in line]
         assert error.startswith("config error:") and "endpoint" in error
+        assert chat.requests == 0
+        assert not (tmp_path / "out").exists()
+
+
+class TestEndpointsThatHttpClientCannotSend:
+    # The path and query go out as the request target, which http.client
+    # sends as ASCII without a space or control character; the decoded user
+    # and password go out as Latin-1.
+    @pytest.mark.parametrize(
+        "spell",
+        [
+            lambda url: url.replace("/v1/", "/v1/\xe9/"),
+            lambda url: f"{url}?q=\xe9",
+            lambda url: url.replace("/v1/", "/v 1/"),
+            lambda url: f"{url}?a=b c",
+            lambda url: url.replace("/v1/", "/v\x7f1/"),
+            lambda url: url.replace("secret", "%E2%82%AC"),
+            lambda url: url.replace("u:", "\u20ac:"),
+        ],
+        ids=[
+            "path-non-ascii", "query-non-ascii", "path-space", "query-space",
+            "path-delete", "encoded-password", "raw-user",
+        ],
+    )
+    def test_rejected_before_any_request(self, tmp_path, capsys, spell):
+        with serve() as chat:
+            url = chat.url.replace("http://", "http://u:secret@")
+            code = main(
+                [
+                    "eval",
+                    "--data-path", str(tiny_dataset_file(tmp_path)),
+                    "--backend", "http",
+                    "--endpoint", spell(url),
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--out", str(tmp_path / "out"),
+                ]
+            )
+        assert code == 2
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error.startswith("config error:") and "endpoint" in error
+        assert "'http://***@127.0.0.1:" in error and "secret" not in error
         assert chat.requests == 0
         assert not (tmp_path / "out").exists()
 
@@ -1743,7 +1811,7 @@ class TestPathsThatAreNotFiles:
         assert "config error: script file not found" in err
         assert not (tmp_path / "cache").exists()
 
-    @pytest.mark.parametrize("name", ["keyword_extraction.txt", "examples.json"])
+    @pytest.mark.parametrize("name", ["keyword_extraction.txt"])
     def test_a_prompt_file_that_is_a_directory_is_a_config_error(
         self, six_bundle, tmp_path, capsys, name
     ):

@@ -13,7 +13,7 @@ import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
 
 import pytest
 from hypothesis import given, settings
@@ -124,17 +124,32 @@ class TestBackendConfig:
     def test_a_host_idna_encodes_is_accepted(self):
         BackendConfig(kind=BackendKind.HTTP_CHAT, endpoint_url="http://bücher.example/v1")
 
+    def test_the_longest_request_timeout_a_socket_takes_works(self, chat_server):
+        backend = http_backend(chat_server, request_timeout=threading.TIMEOUT_MAX)
+        client = CompletionClient(backend)
+        try:
+            assert client.complete_prompt("x").text == "ok"
+        finally:
+            client.close()
+
 
 # Characters a userinfo, a path segment and a query may hold as they are.
 _URL_SAFE = string.ascii_letters + string.digits + "-._~!$&'()*+,;=%"
+
+
+def _decodes_to_latin1(userinfo: str) -> bool:
+    """Whether ``userinfo`` percent-decodes to text that ``Basic``
+    authorization can send; "%A0" decodes to U+FFFD, which it cannot."""
+    return max(unquote(userinfo), default="") <= "\xff"
 
 
 @st.composite
 def endpoints_with_credentials(draw) -> str:
     """An http(s) endpoint that ``BackendConfig`` accepts, with a user, maybe
     a password, and leading whitespace that urlsplit drops."""
-    user = draw(st.text(_URL_SAFE + ":@", min_size=1, max_size=12))
-    password = draw(st.none() | st.text(_URL_SAFE + ":@", max_size=12))
+    userinfo = st.text(_URL_SAFE + ":@", max_size=12).filter(_decodes_to_latin1)
+    user = draw(userinfo.filter(bool))
+    password = draw(st.none() | userinfo)
     host = draw(st.sampled_from(["127.0.0.1", "localhost", "api.example.com", "[::1]"]))
     port = draw(st.none() | st.integers(1, 65535))
     segments = draw(st.lists(st.text(_URL_SAFE + ":", max_size=8), max_size=3))

@@ -6,7 +6,6 @@ import pytest
 
 from claimpipe.prompts import (
     _SLOT_RE,
-    FewShotExample,
     PromptError,
     PromptLibrary,
     PromptTask,
@@ -171,12 +170,9 @@ ADVERSARIAL_VALUES = ["{{claim}}", "{{examples}}", "\\1", "\\g<0>", "%s", "{}"]
 
 
 def substituted(library, task, **values):
-    """``task``'s prompt by one regex substitution over its body, with the
-    task's examples joined into ``{{examples}}``."""
+    """``task``'s prompt by one regex substitution over its body."""
     template = library.template(task)
-    examples = "\n".join(example.render() for example in template.examples)
-    filled = {"examples": examples, **values}
-    return _SLOT_RE.sub(lambda match: filled[match.group(1)], template.body)
+    return _SLOT_RE.sub(lambda match: values[match.group(1)], template.body)
 
 
 class TestRenderer:
@@ -241,11 +237,11 @@ class TestHelpers:
         with pytest.raises(PromptError):
             format_evidence_block([], [])
 
-    def test_few_shot_example_render(self):
-        example = FewShotExample(
-            input_fields=(("Input", "X"), ("Keywords", "a, b.")), output="Y"
-        )
-        assert example.render() == "Input: X\nKeywords: a, b.\nOutput: Y"
+
+def worked_examples(body):
+    """The worked examples in a template: each ends in a filled ``Output:``
+    line, while the query's own ``Output:`` is left for the model."""
+    return sum(line.startswith("Output: ") for line in body.splitlines())
 
 
 class TestLibraryLoading:
@@ -276,7 +272,8 @@ class TestLibraryLoading:
             assert not prompt_library.template(task).body.endswith("\n")
 
     def test_verification_template_is_zero_shot(self, prompt_library):
-        assert prompt_library.template(PromptTask.SUBCLAIM_VERIFICATION).examples == []
+        body = prompt_library.template(PromptTask.SUBCLAIM_VERIFICATION).body
+        assert worked_examples(body) == 0
 
     def test_generation_templates_have_examples(self, prompt_library):
         for task in (
@@ -285,4 +282,4 @@ class TestLibraryLoading:
             PromptTask.CLAIM_GUIDED_SUMMARIZATION,
             PromptTask.CLAIM_DECONSTRUCTION,
         ):
-            assert len(prompt_library.template(task).examples) >= 2
+            assert worked_examples(prompt_library.template(task).body) >= 2
